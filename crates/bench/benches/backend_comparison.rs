@@ -1,5 +1,5 @@
 //! Query latency of the same RPQ workload across the three index backends
-//! (in-memory B+tree, paged buffer-pool B+tree, compressed pair blocks) on
+//! (in-memory chunked runs, paged buffer-pool B+tree, compressed pair blocks) on
 //! the Advogato-like dataset — the bench counterpart of experiment X7.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

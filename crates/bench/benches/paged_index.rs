@@ -1,11 +1,12 @@
 //! Criterion bench for experiment X6: the k-path index on disk — paged
 //! B+tree construction, compressed-block construction and scan latency of the
-//! three representations (in-memory B+tree, paged B+tree, compressed blocks).
+//! three representations (in-memory chunked runs, paged B+tree, compressed
+//! blocks).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pathix_bench::{bench_scale, build_advogato};
 use pathix_graph::SignedLabel;
-use pathix_index::KPathIndex;
+use pathix_index::{PathIndexBackend, SharedKPathIndex};
 use pathix_pagestore::{CompressedPathStore, PagedPathIndex};
 
 fn paged_index_bench(c: &mut Criterion) {
@@ -17,8 +18,8 @@ fn paged_index_bench(c: &mut Criterion) {
     group.sample_size(10);
     group.warm_up_time(std::time::Duration::from_millis(300));
     group.measurement_time(std::time::Duration::from_secs(2));
-    group.bench_function(BenchmarkId::new("in_memory_btree", k), |b| {
-        b.iter(|| criterion::black_box(KPathIndex::build(&graph, k).stats().entries))
+    group.bench_function(BenchmarkId::new("in_memory_runs", k), |b| {
+        b.iter(|| criterion::black_box(SharedKPathIndex::build(&graph, k).stats().entries))
     });
     group.bench_function(BenchmarkId::new("paged_btree", k), |b| {
         b.iter(|| {
@@ -35,9 +36,9 @@ fn paged_index_bench(c: &mut Criterion) {
     group.finish();
 
     // Scan latency of one 2-path across the three representations.
-    let memory = KPathIndex::build(&graph, k);
+    let memory = SharedKPathIndex::build(&graph, k);
     let paged = PagedPathIndex::build_in_memory(&graph, k, 256).expect("paged build");
-    let compressed = CompressedPathStore::from_index(&memory);
+    let compressed = CompressedPathStore::build(&graph, k);
     let journeyer = SignedLabel::forward(
         graph
             .label_id("journeyer")
@@ -49,7 +50,7 @@ fn paged_index_bench(c: &mut Criterion) {
     group.sample_size(20);
     group.warm_up_time(std::time::Duration::from_millis(300));
     group.measurement_time(std::time::Duration::from_secs(1));
-    group.bench_function("in_memory_btree", |b| {
+    group.bench_function("in_memory_runs", |b| {
         b.iter(|| criterion::black_box(memory.scan_path(&path).count()))
     });
     group.bench_function("paged_btree_warm", |b| {

@@ -3,14 +3,15 @@
 //!
 //! The paper builds `I_{G,k}` once; this experiment quantifies the follow-up
 //! question a deployment immediately faces — what a single edge update costs
-//! when the index is maintained with the counting delta rules of
-//! [`pathix_index::IncrementalKPathIndex`], compared against rebuilding the
-//! whole index from scratch after every change.
+//! when it goes through `PathDb::apply` (graph commit, one counting pass,
+//! publish) on the memory backend, compared against rebuilding the whole
+//! index from scratch after every change.
 
 use crate::datasets::build_advogato;
 use crate::report::{write_json, Table};
-use pathix_graph::{Graph, LabelId, NodeId};
-use pathix_index::{IncrementalKPathIndex, KPathIndex};
+use pathix_core::{GraphUpdate, PathDb, PathDbConfig};
+use pathix_graph::Graph;
+use pathix_index::{PathIndexBackend, SharedKPathIndex};
 use std::time::Instant;
 
 /// One `(k, batch)` measurement.
@@ -22,11 +23,11 @@ pub struct IncrementalRow {
     pub entries: usize,
     /// Number of edges deleted and re-inserted.
     pub batch: usize,
-    /// Mean time of one incremental deletion, in microseconds.
+    /// Mean time of one single-deletion `PathDb::apply`, in microseconds.
     pub delete_us: f64,
-    /// Mean time of one incremental insertion, in microseconds.
+    /// Mean time of one single-insertion `PathDb::apply`, in microseconds.
     pub insert_us: f64,
-    /// Time of one full `KPathIndex::build` over the same graph, in
+    /// Time of one full `SharedKPathIndex::build` over the same graph, in
     /// milliseconds.
     pub rebuild_ms: f64,
     /// `rebuild_ms * 1000 / insert_us` — how many incremental insertions one
@@ -43,13 +44,31 @@ pub struct IncrementalReport {
     pub rows: Vec<IncrementalRow>,
 }
 
-/// Every `step`-th edge of the graph, used as the update batch.
-fn update_batch(graph: &Graph, step: usize) -> Vec<(NodeId, LabelId, NodeId)> {
+/// Every `step`-th edge of the graph, as deletions.
+fn update_batch(graph: &Graph, step: usize) -> Vec<GraphUpdate> {
     graph
         .labels()
-        .flat_map(|l| graph.edges(l).map(move |(s, d)| (s, l, d)))
+        .flat_map(|l| {
+            graph
+                .edges(l)
+                .map(move |(s, d)| GraphUpdate::delete(s, l, d))
+        })
         .step_by(step.max(1))
         .collect()
+}
+
+/// Mean microseconds per `PathDb::apply` of a one-update batch; every update
+/// must take effect.
+fn mean_apply_us(db: &PathDb, updates: &[GraphUpdate]) -> f64 {
+    let start = Instant::now();
+    let applied: u64 = updates
+        .iter()
+        .filter_map(|update| db.apply(std::slice::from_ref(update)).ok())
+        .map(|stats| stats.inserted + stats.deleted)
+        .sum();
+    let elapsed = start.elapsed();
+    assert_eq!(applied, updates.len() as u64, "every update must apply");
+    elapsed.as_secs_f64() * 1e6 / updates.len().max(1) as f64
 }
 
 /// Runs the incremental maintenance experiment for `k ∈ {1, 2}` (k = 3 is
@@ -74,30 +93,30 @@ pub fn incremental_maintenance(scale: f64) -> IncrementalReport {
     ]);
     for k in [1usize, 2] {
         let start = Instant::now();
-        let rebuilt = KPathIndex::build(&graph, k);
+        let rebuilt = SharedKPathIndex::build(&graph, k);
         let rebuild_ms = start.elapsed().as_secs_f64() * 1e3;
 
-        let mut live = IncrementalKPathIndex::from_graph(&graph, k);
-        let entries = live.entry_count();
+        let db = PathDb::build(graph.clone(), PathDbConfig::with_k(k));
+        let entries = db.stats().index.entries as usize;
         assert_eq!(
-            entries,
+            entries as u64,
             rebuilt.stats().entries,
-            "seeding must match a rebuild"
+            "the database must hold a full build"
         );
+        // An empty batch seeds the writer's walk-count table, so the timed
+        // batches below measure updates only.
+        assert!(db.apply(&[]).is_ok(), "seeding the writer");
 
         let batch = update_batch(&graph, graph.edge_count() / 200);
-        let start = Instant::now();
-        for &(src, label, dst) in &batch {
-            live.delete_edge(src, label, dst);
-        }
-        let delete_us = start.elapsed().as_secs_f64() * 1e6 / batch.len().max(1) as f64;
-        let start = Instant::now();
-        for &(src, label, dst) in &batch {
-            live.insert_edge(src, label, dst);
-        }
-        let insert_us = start.elapsed().as_secs_f64() * 1e6 / batch.len().max(1) as f64;
+        let delete_us = mean_apply_us(&db, &batch);
+        let inserts: Vec<GraphUpdate> = batch
+            .iter()
+            .filter_map(GraphUpdate::as_op)
+            .map(|op| GraphUpdate::insert(op.src, op.label, op.dst))
+            .collect();
+        let insert_us = mean_apply_us(&db, &inserts);
         assert_eq!(
-            live.entry_count(),
+            db.stats().index.entries as usize,
             entries,
             "delete + re-insert must restore the index"
         );
@@ -124,10 +143,11 @@ pub fn incremental_maintenance(scale: f64) -> IncrementalReport {
     }
     println!("{}", table.render());
     println!(
-        "expected shape: a single incremental update costs microseconds to low milliseconds \
-         (it only touches the k-neighborhood of the edge), orders of magnitude less than the \
-         full rebuild that would otherwise be needed to stay fresh; the per-update cost grows \
-         with k (larger neighborhoods), so the ratio narrows as k increases but stays large.\n"
+        "expected shape: a single-update `PathDb::apply` (graph commit, counting pass, \
+         publish, histogram refresh) costs microseconds to low milliseconds because it only \
+         touches the k-neighborhood of the edge, while a rebuild grows with the whole graph, \
+         so the ratio grows with the scale; the per-update cost grows with k (larger \
+         neighborhoods).\n"
     );
     let report = IncrementalReport { scale, rows };
     write_json("incremental_maintenance", &report);

@@ -2,11 +2,11 @@
 //! versus rebuilding the database from scratch, swept across all four
 //! storage backends.
 //!
-//! X9 measured the raw index delta rules; this experiment measures the whole
-//! serving path a live deployment actually exercises: [`PathDb::apply`]
-//! validates the batch, routes it through the counting index, keeps the graph
-//! adjacency in sync, refreshes the histogram under the configured policy and
-//! publishes a fresh immutable snapshot (epoch bump plus O(Δ) chunk rebuilds
+//! X9 measures single-update applies on the memory backend; this experiment
+//! measures the whole serving path a live deployment actually exercises:
+//! [`PathDb::apply`] validates the batch, commits it to the graph, runs one
+//! counting pass over the net change set, refreshes the histogram under the
+//! configured policy and publishes a fresh immutable snapshot (epoch bump plus O(Δ) chunk rebuilds
 //! with structural sharing on the memory backend, copy-on-write B+tree key
 //! deltas with page writeback on the paged backends, overlay entries with
 //! threshold compaction on the compressed store). The alternative — the only
@@ -288,7 +288,7 @@ fn publish_sweep(base_scale: f64, k: usize) -> Vec<PublishSweepRow> {
                 .with_backend(choice)
                 .with_histogram_refresh(HistogramRefresh::Manual);
             let db = PathDb::try_build(graph.clone(), config).expect("backend build failed");
-            // Warm up the writer: the first apply seeds the counting index
+            // Warm up the writer: the first apply seeds the walk-count table
             // (a one-time O(index) cost every route pays, not publish cost).
             let &(src, label, dst) = sample.first().expect("non-empty sample");
             db.apply(&[GraphUpdate::DeleteEdge { src, label, dst }])

@@ -25,7 +25,7 @@ pub use experiments::{
     ablation::histogram_ablation, amortization::amortization, automaton::automaton_comparison,
     backends::backend_comparison, datalog::datalog_speedup, fig2::fig2,
     incremental::incremental_maintenance, index_build::index_construction, ingest::ingest,
-    paged::paged_index, parallel::parallel, scaling::scaling, scan_join::scan_join,
-    serving::serving, sql::sql_comparison, updates::live_updates,
+    paged::paged_index, scaling::scaling, scan_join::scan_join, serving::serving,
+    sql::sql_comparison, updates::live_updates,
 };
 pub use report::{format_duration_ms, Table};

@@ -6,20 +6,23 @@
 //! A database is a sequence of immutable **snapshots** ([`Snapshot`]): graph,
 //! index and histogram bundled behind `Arc`s, tagged with a monotonically
 //! increasing **epoch**. Readers clone the current snapshot (two atomic
-//! refcounts) and never block writers; [`PathDb::apply`] routes edge updates
-//! through the counting [`IncrementalKPathIndex`], publishes a fresh snapshot
-//! and bumps the epoch. Compiled plans are tagged with the epoch they were
-//! planned at and transparently replanned on mismatch, so neither the plan
-//! cache nor a long-lived [`PreparedQuery`] ever serves a plan optimized for
-//! statistics that no longer describe the data.
+//! refcounts) and never block writers; [`PathDb::apply`] commits a batch to
+//! the graph, turns its net change set into index-entry deltas with one
+//! counting pass over the writer's walk-count table
+//! ([`IncrementalKPathIndex`]), publishes a fresh snapshot and bumps the
+//! epoch. Compiled plans are tagged with the epoch they were planned at and
+//! transparently replanned on mismatch, so neither the plan cache nor a
+//! long-lived [`PreparedQuery`] ever serves a plan optimized for statistics
+//! that no longer describe the data.
 //!
 //! ## Update path per backend
 //!
-//! The counting delta enumeration runs **once** per batch (in the shared
-//! [`IncrementalKPathIndex`]); what differs is how each backend absorbs the
-//! resulting key transitions. Publishing is **O(Δ)** everywhere — the cost is
-//! proportional to the batch's touched neighborhood, never to the index —
-//! and snapshots are fully isolated on every backend:
+//! The writer holds exactly two things: the published graph epoch and one
+//! walk-count table. The counting pass runs **once** per batch, over the net
+//! change set the graph computed; what differs is how each backend absorbs
+//! the resulting key transitions. Publishing is **O(Δ)** everywhere — the
+//! cost is proportional to the batch's touched neighborhood, never to the
+//! index — and snapshots are fully isolated on every backend:
 //!
 //! * **memory** — the key deltas rebuild only the touched chunks of the
 //!   structurally-shared [`SharedKPathIndex`]; everything untouched is
@@ -67,7 +70,8 @@ use std::sync::{Arc, Mutex, RwLock};
 /// absorbs them).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum BackendChoice {
-    /// The in-memory B+tree index (`pathix-index`): fastest, bounded by RAM.
+    /// The in-memory chunked-run index (`pathix-index`): fastest, bounded by
+    /// RAM.
     #[default]
     Memory,
     /// The paged B+tree behind a buffer pool with an **in-memory** page
@@ -364,13 +368,21 @@ pub struct DbStats {
 }
 
 /// What one [`PathDb::apply`] batch did.
+///
+/// A batch has net semantics per `(label, src, dst)` key
+/// ([`Graph::commit_net`]): a key changes only when its first and last
+/// update agree and differ from the graph, so `inserted + deleted` is the
+/// size of the batch's net change set and every other update counts as a
+/// no-op.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UpdateStats {
-    /// Edges actually inserted (duplicates excluded).
+    /// Edges the batch added to the graph.
     pub inserted: u64,
-    /// Edges actually deleted (absent edges excluded).
+    /// Edges the batch removed from the graph.
     pub deleted: u64,
-    /// Updates that changed nothing (duplicate inserts, absent deletes).
+    /// Updates that changed nothing: inserts of present edges, deletes of
+    /// absent ones, repeats of a key, and updates whose key the batch
+    /// changed and changed back (an insert and a delete of the same edge).
     pub no_ops: u64,
     /// Index-entry transitions (keys appeared/disappeared) the batch caused —
     /// the Δ every backend's publish is proportional to.
@@ -513,12 +525,14 @@ impl StructuralAudit for WriterBackend {
     }
 }
 
-/// Writer-side state: the counting index the delta rules maintain (built
-/// lazily on the first update), the mutable physical backend, the reusable
-/// delta-log allocation and the histogram-refresh bookkeeping.
+/// Writer-side state: the walk-count table of the published graph epoch
+/// (seeded on the first update), the mutable physical backend, the reusable
+/// delta-log allocation and the histogram-refresh bookkeeping. The graph
+/// epoch itself is the published snapshot's: the writer keeps no adjacency
+/// of its own.
 #[derive(Debug)]
 struct LiveState {
-    index: Option<IncrementalKPathIndex>,
+    table: Option<IncrementalKPathIndex>,
     updates_since_refresh: u64,
     /// The key-transition log of the current batch, reused across batches so
     /// steady-state applies stop reallocating it.
@@ -620,15 +634,16 @@ fn commit_record(
 /// [`QueryError::Backend`] instead of panicking.
 ///
 /// Every database is **live**, regardless of backend: [`PathDb::apply`]
-/// absorbs edge insertions and deletions through the counting delta rules of
-/// [`IncrementalKPathIndex`], hands the resulting key deltas to the selected
-/// backend, and publishes a fresh [`Snapshot`]; concurrent readers keep
+/// commits a batch of edge insertions and deletions to the graph, turns its
+/// net change set into key deltas with the counting pass of
+/// [`IncrementalKPathIndex`], hands them to the selected backend, and
+/// publishes a fresh [`Snapshot`]; concurrent readers keep
 /// streaming from the snapshot they opened (see [`crate::Cursor`]).
 #[derive(Debug)]
 pub struct PathDb {
     /// The currently published snapshot. Writers swap it; readers clone it.
     state: RwLock<Snapshot>,
-    /// Writer serialization point + the live counting index.
+    /// Writer serialization point + the walk-count table.
     live: Mutex<LiveState>,
     config: PathDbConfig,
     plan_cache: PlanCache,
@@ -705,7 +720,7 @@ impl PathDb {
         Ok(PathDb {
             state: RwLock::new(snapshot),
             live: Mutex::new(LiveState {
-                index: None,
+                table: None,
                 updates_since_refresh: 0,
                 deltas: EntryDeltas::new(),
                 writer,
@@ -857,7 +872,7 @@ impl PathDb {
         Ok(PathDb {
             state: RwLock::new(snapshot),
             live: Mutex::new(LiveState {
-                index: None,
+                table: None,
                 updates_since_refresh: 0,
                 deltas: EntryDeltas::new(),
                 writer: WriterBackend::Paged(paged),
@@ -1003,11 +1018,17 @@ impl PathDb {
     /// Applies a batch of edge insertions and deletions, returning what the
     /// batch did. Works identically on **every** backend.
     ///
-    /// Updates route through the counting delta rules of
-    /// [`IncrementalKPathIndex`] (built lazily from the current graph on the
-    /// first call), keep the graph adjacency in sync, refresh the histogram
-    /// under [`PathDbConfig::histogram_refresh`], and publish a new
-    /// [`Snapshot`] with a bumped epoch. Every backend replays the same key
+    /// The batch runs in four steps. The graph commits it first and decides
+    /// which updates take effect (net semantics per edge, see
+    /// [`UpdateStats`]). One counting pass over that net change set — prefix
+    /// walks on the old epoch, suffix walks on the new one — updates the
+    /// writer's walk-count table ([`IncrementalKPathIndex`], seeded on the
+    /// first call from the backend's persisted counts or the graph) and
+    /// writes one absolute count per touched entry. The on-disk backend then
+    /// logs the batch to its write-ahead log, and finally the backend absorbs
+    /// the deltas, the histogram is refreshed under
+    /// [`PathDbConfig::histogram_refresh`], and a new [`Snapshot`] is
+    /// published with a bumped epoch. Every backend replays the same key
     /// deltas against its own storage — chunk rebuilds with structural
     /// sharing on memory, copy-on-write B+tree inserts/deletes with page
     /// writeback on the paged backends, overlay entries with threshold
@@ -1058,62 +1079,46 @@ impl PathDb {
         // Phase 2: resolve names to ids, interning new vocabulary (insertions
         // only — the one fallible step, the label-capacity check, ran above).
         let mut vocab = current.graph().vocab_batch();
-        let mut resolved: Vec<Option<EdgeOp>> = Vec::with_capacity(updates.len());
+        let mut ops: Vec<EdgeOp> = Vec::with_capacity(updates.len());
         for update in updates {
-            resolved.push(resolve_update(&mut vocab, update)?);
+            ops.extend(resolve_update(&mut vocab, update)?);
         }
 
         let live_state = &mut *live;
-        if live_state.index.is_none() {
-            // First update since build or open: seed the counting index. A
-            // paged backend already holds every ⟨entry, walk count⟩ pair, so
-            // a reopened database reseeds from the persisted entries in one
-            // tree scan instead of re-enumerating every counted walk of the
-            // graph; any read or validation failure falls back to the
-            // from-graph rebuild below.
-            let persisted = match &live_state.writer {
-                WriterBackend::Paged(paged) => paged.counted_entries().ok().and_then(|entries| {
-                    IncrementalKPathIndex::from_persisted_entries(
-                        current.graph(),
-                        self.config.k,
-                        entries,
-                    )
-                    .ok()
-                }),
-                _ => None,
-            };
-            if let Some(index) = persisted {
-                live_state.index = Some(index);
-            }
-        }
-        let live_index = live_state.index.get_or_insert_with(|| {
-            IncrementalKPathIndex::bulk_from_graph(current.graph(), self.config.k)
-        });
+        let table = match live_state.table.take() {
+            Some(table) => table,
+            None => match seed_table(&live_state.writer, current.graph(), self.config.k) {
+                Ok(table) => table,
+                Err(e) => {
+                    // Reseeding from the graph would be the O(index) rebuild
+                    // recovery promises never to do, and would leave the bad
+                    // persisted entries in place: stop writing instead.
+                    live_state.failed = Some(e.clone());
+                    return Err(QueryError::Backend(e));
+                }
+            },
+        };
+        let table = live_state.table.insert(table);
 
+        // Phase 3: graph first, then one counting pass over its net change
+        // set. The new epoch re-shares untouched labels and chunks by
+        // refcount bump.
         live_state.deltas.clear();
-        let mut effective: Vec<EdgeOp> = Vec::new();
-        let mut inserted = 0u64;
-        let mut deleted = 0u64;
-        let mut no_ops = 0u64;
-        for op in resolved.into_iter() {
-            let Some(op) = op else {
-                no_ops += 1;
-                continue;
+        let (graph, changes) =
+            match table.apply_batch(current.graph(), vocab, &ops, &mut live_state.deltas) {
+                Ok(next) => next,
+                Err(e) => {
+                    let e = BackendError::new("counting", e);
+                    live_state.failed = Some(e.clone());
+                    return Err(QueryError::Backend(e));
+                }
             };
-            if !live_index.apply_logged(GraphUpdate::from_op(op), &mut live_state.deltas) {
-                no_ops += 1;
-                continue;
-            }
-            if op.insert {
-                inserted += 1;
-            } else {
-                deleted += 1;
-            }
-            effective.push(op);
-        }
-        let vocab_grew = vocab.node_count() != current.graph().node_count()
-            || vocab.label_count() != current.graph().label_count();
-        if effective.is_empty() && !vocab_grew {
+        let inserted = changes.iter().filter(|op| op.insert).count() as u64;
+        let deleted = changes.len() as u64 - inserted;
+        let no_ops = updates.len() as u64 - inserted - deleted;
+        let vocab_grew = graph.node_count() != current.graph().node_count()
+            || graph.label_count() != current.graph().label_count();
+        if changes.is_empty() && !vocab_grew {
             // The whole batch was a no-op: nothing changed, nothing to
             // publish, plans stay valid.
             return Ok(UpdateStats {
@@ -1125,9 +1130,6 @@ impl PathDb {
                 histogram_refreshed: false,
             });
         }
-        // O(Δ) graph epoch: untouched labels and chunks are re-shared by
-        // refcount bump, never copied.
-        let graph = current.graph().commit_batch(vocab, &effective);
 
         // The refresh decision is taken on the *pending* count, but the
         // counter itself only advances after the batch has durably committed
@@ -1140,8 +1142,8 @@ impl PathDb {
         };
         let histogram = if refresh {
             Arc::new(PathHistogram::build(
-                live_index.per_path_counts(),
-                live_index.paths_k_size(),
+                table.per_path_counts(),
+                table.paths_k_size(),
                 self.config.k,
                 self.config.estimation,
             ))
@@ -1161,7 +1163,7 @@ impl PathDb {
                 seq,
                 current.graph(),
                 &graph,
-                &effective,
+                &changes,
                 &live_state.deltas,
                 inserted,
                 deleted,
@@ -1177,23 +1179,15 @@ impl PathDb {
             }
         }
 
-        // Publish. The counting enumeration ran once above; each backend now
-        // absorbs the same key transitions its own way — in O(Δ), never by
-        // rebuilding or re-freezing the whole index.
-        let batch = DeltaBatch {
-            deltas: &live_state.deltas,
-            per_path_counts: live_index.per_path_counts(),
-            paths_k_size: live_index.paths_k_size(),
-            node_count: live_index.node_count(),
-            inserted_edges: inserted,
-            deleted_edges: deleted,
-            seq,
-        };
+        // Publish. The counting pass ran once above; each backend now absorbs
+        // the same key transitions its own way — in O(Δ), never by
+        // rebuilding the whole index.
+        let batch = table.delta_batch(&live_state.deltas, &changes, seq);
         let backend = match live_state.writer.publish(&batch) {
             Ok(backend) => backend,
             Err(e) => {
                 // The physical backend may hold a partial batch, and the
-                // counting index has absorbed updates that were never
+                // walk-count table has absorbed updates that were never
                 // published: poison the writer so every later apply (and
                 // manual histogram refresh) fails loudly instead of
                 // publishing diverged state.
@@ -1249,25 +1243,25 @@ impl PathDb {
     /// statistics. Returns `false` (and does nothing) when no update was
     /// ever applied — the built histogram is still exact.
     pub fn refresh_histogram(&self) -> bool {
-        // A poisoned writer lock means the counting index may be ahead of
+        // A poisoned writer lock means the walk-count table may be ahead of
         // the published state — same reason as `failed` below, same answer.
         let Ok(mut live) = self.live.lock() else {
             return false;
         };
         let live_state = &mut *live;
         if live_state.failed.is_some() {
-            // A failed delta batch left the counting index ahead of the
+            // A failed delta batch left the walk-count table ahead of the
             // published state; refreshing from it would publish statistics
             // for updates that never landed.
             return false;
         }
-        let Some(live_index) = &live_state.index else {
+        let Some(table) = &live_state.table else {
             return false;
         };
         let current = self.snapshot();
         let histogram = Arc::new(PathHistogram::build(
-            live_index.per_path_counts(),
-            live_index.paths_k_size(),
+            table.per_path_counts(),
+            table.paths_k_size(),
             self.config.k,
             self.config.estimation,
         ));
@@ -1396,7 +1390,10 @@ impl PathDb {
     /// Full structural audit of the database: walks the published snapshot's
     /// backend, the writer-side backend (including the page-lifecycle checks
     /// only the writer can perform), and — once updates have been applied —
-    /// the live counting index, recording every invariant evaluation.
+    /// the writer's walk-count table, recording every invariant evaluation.
+    /// On the paged backends the table duplicates the walk counts the page
+    /// file stores, so a seeded writer also checks that the two copies hold
+    /// the same entries and counts.
     ///
     /// A clean report ([`AuditReport::is_clean`]) means every structural
     /// invariant the backends rely on for correctness held: sorted and
@@ -1424,8 +1421,31 @@ impl PathDb {
             &format!("writer/{}", live.writer.backend_name()),
             &live.writer,
         );
-        if let Some(index) = &live.index {
-            report.run("counting-index", index);
+        if let Some(table) = &live.table {
+            report.run("counting-index", table);
+            if let WriterBackend::Paged(paged) = &live.writer {
+                report.begin("counting-index/paged");
+                match paged.counted_entries() {
+                    Ok(persisted) => {
+                        let same = table.entry_count() == persisted.len()
+                            && table.entries().zip(&persisted).all(
+                                |((key, count), (p_key, p_count))| {
+                                    key == p_key.as_slice() && count == *p_count
+                                },
+                            );
+                        report.check("table-matches-pages", "writer", same, || {
+                            format!(
+                                "the writer's {} walk counts differ from the {} the page file \
+                                 stores",
+                                table.entry_count(),
+                                persisted.len()
+                            )
+                        });
+                    }
+                    Err(e) => report.violation("audit-io", "writer", e.to_string()),
+                }
+                report.end();
+            }
         }
         // Durability health. `StorageStats::flush_failed` is sticky but was
         // previously only visible to callers polling `stats()`; surfacing it
@@ -1458,6 +1478,32 @@ impl PathDb {
         );
         report.end();
         report
+    }
+}
+
+/// Seeds the writer's walk-count table for `graph`. A paged backend already
+/// holds every ⟨entry, walk count⟩ pair, so the table streams in from one
+/// tree scan instead of re-enumerating every counted walk of the graph; a
+/// read or validation failure is reported, never papered over.
+fn seed_table(
+    writer: &WriterBackend,
+    graph: &Graph,
+    k: usize,
+) -> Result<IncrementalKPathIndex, BackendError> {
+    match writer {
+        WriterBackend::Paged(paged) => paged
+            .counted_entries()
+            .map_err(|e| e.to_string())
+            .and_then(|entries| IncrementalKPathIndex::from_persisted_entries(graph, k, entries))
+            .map_err(|e| {
+                BackendError::new(
+                    "paged",
+                    format!("seeding the writer from the persisted walk counts: {e}"),
+                )
+            }),
+        WriterBackend::Memory(_) | WriterBackend::Compressed(_) => {
+            Ok(IncrementalKPathIndex::bulk_from_graph(graph, k))
+        }
     }
 }
 
@@ -2020,6 +2066,44 @@ mod tests {
     }
 
     #[test]
+    fn an_insert_and_a_delete_of_one_edge_cancel_on_every_backend() {
+        let _disk = DISK_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        let dir = TempDir::new("net-noop");
+        let choices = vec![
+            BackendChoice::Memory,
+            BackendChoice::PagedInMemory { pool_frames: 8 },
+            BackendChoice::OnDisk {
+                path: dir.path("net.pages"),
+                pool_frames: 8,
+            },
+            BackendChoice::Compressed,
+        ];
+        for choice in choices {
+            let config = PathDbConfig::with_k(2).with_backend(choice.clone());
+            let db = PathDb::try_build(paper_example_graph(), config).unwrap();
+            let stats = db
+                .apply(&[
+                    update(&db, "insert", "tim", "knows", "zoe"),
+                    update(&db, "delete", "tim", "knows", "zoe"),
+                ])
+                .unwrap();
+            assert_eq!(
+                (stats.inserted, stats.deleted, stats.no_ops),
+                (0, 0, 2),
+                "backend {choice:?}"
+            );
+            assert_eq!(stats.delta_entries, 0, "backend {choice:?}");
+            assert_eq!(stats.epoch, 0, "backend {choice:?}");
+            assert_eq!(db.epoch(), 0, "backend {choice:?}");
+            let graph = db.graph();
+            let tim = graph.node_id("tim").unwrap();
+            let zoe = graph.node_id("zoe").unwrap();
+            assert!(!graph.has_edge(tim, graph.label_id("knows").unwrap(), zoe));
+            db.audit().assert_clean(&format!("backend {choice:?}"));
+        }
+    }
+
+    #[test]
     fn cached_plans_recompile_after_an_update() {
         let db = example_db(2);
         db.query("supervisor/worksFor-").unwrap();
@@ -2282,6 +2366,79 @@ mod tests {
             .unwrap();
         assert!(reopened.audit().is_clean());
         reopened.close().unwrap();
+    }
+
+    #[test]
+    fn a_foreign_persisted_entry_fails_the_first_apply_and_reads_still_serve() {
+        let _disk = DISK_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        let dir = TempDir::new("bad-seed");
+        let path = dir.path("idx.pages");
+        let config = PathDbConfig::with_k(2).with_backend(BackendChoice::OnDisk {
+            path: path.clone(),
+            pool_frames: 8,
+        });
+        let db = PathDb::try_build(paper_example_graph(), config.clone()).unwrap();
+        let nodes = db.graph().node_count();
+        let knows = SignedLabel::forward(db.graph().label_id("knows").unwrap());
+        db.close().unwrap();
+        drop(db);
+
+        // Behind the closed database's back, persist an entry for a node the
+        // graph never interned.
+        let mut paged = PagedPathIndex::open(&path, 2, 8, nodes).unwrap();
+        let foreign = pathix_index::pathkey::encode_entry(&[knows], NodeId(9_999), NodeId(0));
+        let seq = paged.applied_seq() + 1;
+        paged
+            .replay_batch(seq, &[(foreign, 3)], nodes, 0, 0)
+            .unwrap();
+        paged.close().unwrap();
+        drop(paged);
+
+        let db = PathDb::open(config).unwrap();
+        let before = db.query("supervisor/worksFor-").unwrap();
+        let first = db.apply(&[update(&db, "insert", "tim", "supervisor", "joe")]);
+        match &first {
+            Err(QueryError::Backend(e)) => assert!(e.message().contains("persisted"), "{e}"),
+            other => panic!("expected a seeding failure, got {other:?}"),
+        }
+        // The failure is latched: no silent reseed from the graph later.
+        assert!(matches!(
+            db.apply(&[update(&db, "insert", "tim", "supervisor", "joe")]),
+            Err(QueryError::Backend(_))
+        ));
+        assert_eq!(db.epoch(), 0);
+        assert_eq!(
+            db.query("supervisor/worksFor-").unwrap().pairs(),
+            before.pairs()
+        );
+    }
+
+    #[test]
+    fn seeded_corruption_trips_the_writer_count_cross_check() {
+        let db = PathDb::build(
+            paper_example_graph(),
+            PathDbConfig::with_k(2).with_backend(BackendChoice::PagedInMemory { pool_frames: 8 }),
+        );
+        db.apply(&[update(&db, "insert", "tim", "supervisor", "joe")])
+            .unwrap();
+        db.audit().assert_clean("after one batch");
+
+        // One walk count in the page file drifts from the writer's table.
+        {
+            let nodes = db.graph().node_count();
+            let mut live = db.live.lock().unwrap();
+            let WriterBackend::Paged(paged) = &mut live.writer else {
+                panic!("a paged database has a paged writer");
+            };
+            let (key, count) = paged.counted_entries().unwrap()[0].clone();
+            let seq = paged.applied_seq() + 1;
+            paged
+                .replay_batch(seq, &[(key, count + 1)], nodes, 0, 0)
+                .unwrap();
+        }
+        let report = db.audit();
+        let names: Vec<_> = report.violations().iter().map(|v| v.invariant).collect();
+        assert!(names.contains(&"table-matches-pages"), "{names:?}");
     }
 
     #[test]

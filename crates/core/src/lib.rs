@@ -6,7 +6,7 @@
 //!
 //! * [`PathDb::prepare`] compiles a query once into a [`PreparedQuery`]
 //!   (plans are cached lazily per strategy);
-//! * [`QueryOptions`] selects strategy, worker threads, limits and the
+//! * [`QueryOptions`] selects strategy, limits, a cancellation token and the
 //!   paper's Example 3.1 source/target bindings for one execution;
 //! * [`PreparedQuery::run`] materializes an answer, [`PreparedQuery::cursor`]
 //!   streams it through a [`Cursor`] with early termination;
@@ -14,10 +14,12 @@
 //!   concurrent clients with per-session default options;
 //! * [`PathDb::query`] / [`PathDb::run`] stay available for ad-hoc calls and
 //!   hit the same LRU plan cache;
-//! * [`PathDb::apply`] absorbs live edge insertions and deletions (memory
-//!   backend) through the incremental k-path index, publishing immutable
-//!   epoch-tagged [`Snapshot`]s — cached plans replan on epoch mismatch and
-//!   open [`Cursor`]s keep streaming from the snapshot they opened on.
+//! * [`PathDb::apply`] absorbs batches of live edge insertions and deletions
+//!   on every backend: the graph commits the batch's net change set, one
+//!   counting pass turns it into index-entry deltas, and an immutable
+//!   epoch-tagged [`Snapshot`] is published — cached plans replan on epoch
+//!   mismatch and open [`Cursor`]s keep streaming from the snapshot they
+//!   opened on.
 //!
 //! ```
 //! use pathix_core::{PathDb, PathDbConfig, QueryOptions, Strategy};
@@ -66,7 +68,7 @@ pub use pathix_exec::CancelToken;
 pub use pathix_graph::{Graph, GraphBuilder, LabelId, NodeId, SignedLabel};
 pub use pathix_index::{
     BackendError, BackendStats, DeltaBatch, EntryChange, EntryDeltas, EstimationMode, GraphUpdate,
-    IndexStats, MutablePathIndexBackend, PathIndexBackend, RunPublishStats, SharedKPathIndex,
+    MutablePathIndexBackend, PathIndexBackend, RunPublishStats, SharedKPathIndex,
 };
 pub use pathix_pagestore::{CowStats, PoolStats};
 pub use pathix_plan::{ExecutionStats, PhysicalPlan, Strategy};

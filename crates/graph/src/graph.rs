@@ -323,6 +323,21 @@ impl Graph {
     /// Panics if an op references an id outside the batch's vocabulary, or
     /// if `batch` came from a different graph lineage.
     pub fn commit_batch(&self, batch: VocabBatch, ops: &[EdgeOp]) -> Graph {
+        self.commit_net(batch, ops).0
+    }
+
+    /// [`Graph::commit_batch`], also returning the batch's **net change
+    /// set**: the ops that actually changed this epoch, one per
+    /// `(label, src, dst)` key, in `(label, src, dst)` order. A key takes
+    /// effect when its first and last transition in `ops` agree and differ
+    /// from this epoch's state; every other op is a no-op. Callers that
+    /// maintain state derived from the graph (the walk-count table) absorb
+    /// exactly this set, so the graph stays the one place that decides what
+    /// a batch did.
+    ///
+    /// # Panics
+    /// As [`Graph::commit_batch`].
+    pub fn commit_net(&self, batch: VocabBatch, ops: &[EdgeOp]) -> (Graph, Vec<EdgeOp>) {
         assert!(
             Arc::ptr_eq(&self.vocab, &batch.vocab),
             "vocab batch belongs to a different graph lineage"
@@ -344,19 +359,20 @@ impl Graph {
                     last: op.insert,
                 });
         }
-        // Per label, the net ops that actually change the stored relation
-        // (BTreeMap iteration keeps each label's pairs ascending).
+        // The net ops that actually change the stored relation, grouped per
+        // label (BTreeMap iteration keeps each label's pairs ascending).
+        let mut changes: Vec<EdgeOp> = Vec::new();
         let mut per_label: BTreeMap<LabelId, Vec<(Pair, bool)>> = BTreeMap::new();
         for ((label, pair), op) in net {
-            if op.first != op.last {
+            if op.first != op.last || op.first == self.has_edge(pair.0, label, pair.1) {
                 continue;
             }
-            let present = self
-                .adjacency(label)
-                .is_some_and(|a| a.forward.contains(pair));
-            if op.first == present {
-                continue;
-            }
+            changes.push(EdgeOp {
+                src: pair.0,
+                label,
+                dst: pair.1,
+                insert: op.first,
+            });
             per_label.entry(label).or_default().push((pair, op.first));
         }
 
@@ -412,14 +428,15 @@ impl Graph {
         } else {
             self.vocab.labels.freeze(batch.label_len)
         };
-        Graph {
+        let graph = Graph {
             vocab: batch.vocab,
             nodes_view,
             labels_view,
             labels: Arc::new(labels),
             edge_count,
             last_publish: stats,
-        }
+        };
+        (graph, changes)
     }
 
     /// What the most recent [`Graph::commit_batch`] (or the edge-at-a-time
@@ -786,7 +803,7 @@ mod tests {
         let knows = g.label_id("knows").unwrap();
         let jan = g.node_id("jan").unwrap();
         let ada = g.node_id("ada").unwrap();
-        let next = g.commit_batch(
+        let (next, changes) = g.commit_net(
             g.vocab_batch(),
             &[
                 EdgeOp::insert(jan, knows, ada),
@@ -795,6 +812,26 @@ mod tests {
         );
         assert_eq!(next.edge_count(), g.edge_count());
         assert!(!next.has_edge(jan, knows, ada));
+        assert!(changes.is_empty());
+
+        // The net change set keeps one op per key, only where the first and
+        // last transition agree and differ from the old epoch: a duplicate
+        // insert of a new edge counts once, a delete-then-reinsert of an
+        // existing edge and an insert of a present edge are no-ops.
+        let zoe = g.node_id("zoe").unwrap();
+        assert!(g.has_edge(ada, knows, jan));
+        let (next, changes) = g.commit_net(
+            g.vocab_batch(),
+            &[
+                EdgeOp::insert(zoe, knows, zoe),
+                EdgeOp::delete(ada, knows, jan),
+                EdgeOp::insert(zoe, knows, zoe),
+                EdgeOp::insert(ada, knows, jan),
+                EdgeOp::insert(ada, knows, zoe),
+            ],
+        );
+        assert_eq!(changes, vec![EdgeOp::insert(zoe, knows, zoe)]);
+        assert_eq!(next.edge_count(), g.edge_count() + 1);
     }
 
     #[test]

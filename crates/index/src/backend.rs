@@ -2,7 +2,7 @@
 //!
 //! The paper's k-path index is storage-agnostic: the same search key
 //! `⟨label path, sourceID, targetID⟩` and the same three lookup shapes
-//! (Example 3.1) can be served by an in-memory B+tree, a buffer-pool-backed
+//! (Example 3.1) can be served by in-memory chunked runs, a buffer-pool-backed
 //! paged B+tree, or compressed per-path pair blocks — the three
 //! representations studied by the paper and its companion work (ref. \[14\]).
 //!
@@ -312,16 +312,15 @@ pub enum EntryChange {
     Removed,
 }
 
-/// The key-level effect of a sequence of graph updates: which index entries
-/// appeared and disappeared, in the order the transitions happened.
+/// The key-level effect of one update batch: which index entries appeared
+/// and disappeared, plus the absolute walk count of every entry the batch
+/// touched.
 ///
-/// The counting delta rules of [`crate::IncrementalKPathIndex`] produce this
-/// log (via [`crate::IncrementalKPathIndex::apply_logged`]) **once** per
-/// batch; every storage backend then replays the same log against its own
-/// representation — B+tree key inserts/deletes for the paged index, overlay
-/// entries for the compressed store. Ordering matters: a key can be added and
-/// later removed within one batch, and replaying out of order would leave it
-/// behind.
+/// The counting pass of [`crate::IncrementalKPathIndex::apply_batch`]
+/// produces this log **once** per batch, with at most one transition and one
+/// count per key; every storage backend then replays the same log against
+/// its own representation — B+tree key inserts/deletes for the paged index,
+/// overlay entries for the compressed store, chunk rebuilds in memory.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EntryDeltas {
     ops: Vec<(Vec<u8>, EntryChange)>,
@@ -377,8 +376,8 @@ impl EntryDeltas {
 }
 
 /// Everything a storage backend needs to absorb one effective update batch:
-/// the ordered key transitions plus the fresh structural statistics computed
-/// by the counting index that produced them.
+/// the key transitions plus the fresh structural statistics of the walk-count
+/// table that produced them.
 #[derive(Debug, Clone, Copy)]
 pub struct DeltaBatch<'a> {
     /// Ordered `⟨p, a, b⟩` key transitions of the batch.
@@ -405,13 +404,13 @@ pub struct DeltaBatch<'a> {
 /// the key-level effects of live edge updates while staying consistent with a
 /// full rebuild over the updated graph.
 ///
-/// The counting delta enumeration happens once, backend-agnostically, in
-/// [`crate::IncrementalKPathIndex::apply_logged`]; implementors only replay
+/// The counting pass happens once, backend-agnostically, in
+/// [`crate::IncrementalKPathIndex::apply_batch`]; implementors only replay
 /// the resulting [`DeltaBatch`] against their own storage. All three physical
-/// representations implement this: the in-memory B+tree (via the counting
-/// index itself), the paged B+tree (key inserts/deletes with page splits and
-/// merges) and the compressed store (a delta overlay compacted into block
-/// rewrites).
+/// representations implement this: the in-memory chunked runs
+/// ([`crate::SharedKPathIndex`]), the paged B+tree (key inserts/deletes with
+/// page splits and merges) and the compressed store (a delta overlay
+/// compacted into block rewrites).
 pub trait MutablePathIndexBackend: PathIndexBackend {
     /// Replays one batch of key transitions and adopts the batch's fresh
     /// statistics. Returns an error (leaving the backend in need of a

@@ -1,50 +1,48 @@
-//! Incremental maintenance of the k-path index under edge updates.
+//! Counting maintenance of the k-path index under batches of edge updates.
 //!
 //! The paper builds `I_{G,k}` once over a static graph; keeping the index
-//! consistent while the graph changes is the natural follow-up (and the cost
-//! the paper's §3.1 footnote on index construction implicitly defers). This
-//! module implements **counting-based view maintenance** for the k-path
-//! index: every stored `⟨p, a, b⟩` entry carries the number of distinct walks
-//! of shape `p` from `a` to `b`, so that
+//! consistent while the graph changes is the natural follow-up. This module
+//! keeps, next to the published graph epochs, one **walk-count table**: every
+//! `⟨p, a, b⟩` entry carries the number of distinct walks of shape `p` from
+//! `a` to `b`, plus the per-path cardinalities and the `|paths_k(G)|`
+//! bookkeeping derived from it.
 //!
-//! * inserting an edge adds, for every label path `p` of length ≤ k and every
-//!   position at which the new edge can participate, the product of the walk
-//!   counts of the prefix (evaluated on the *old* graph) and of the suffix
-//!   (evaluated on the *new* graph) — the standard telescoping delta rule;
-//! * deleting an edge subtracts the symmetric products, and an entry is
-//!   removed only when its walk count reaches zero, which is exactly when no
-//!   alternative walk realizes the pair.
+//! A batch is absorbed with the counting view-maintenance rule (Gupta,
+//! Mumick & Subrahmanian, SIGMOD 1993). Write `R₁⋯Rₙ` for the walk-count
+//! matrix of a path of length n, `Rᵢ` for the old epoch's adjacency of step
+//! i, `Rᵢ'` for the new epoch's and `ΔRᵢ = Rᵢ' − Rᵢ`. Then
 //!
-//! Because the prefix/suffix walks live inside the k-neighborhood of the
-//! updated edge, a single update touches only that neighborhood rather than
-//! the whole index.
+//! ```text
+//! R₁'⋯Rₙ' − R₁⋯Rₙ = Σᵢ R₁⋯Rᵢ₋₁ · ΔRᵢ · Rᵢ₊₁'⋯Rₙ'
+//! ```
 //!
-//! The maintained key set is identical to [`crate::KPathIndex`] built from
-//! scratch over the same graph (property-tested in this module and in the
-//! integration suite); the histogram is *not* maintained incrementally —
-//! callers refresh [`crate::PathHistogram`] from
-//! [`IncrementalKPathIndex::per_path_counts`] at whatever cadence their
-//! optimizer needs.
+//! so one pass over the batch's net change set — each changed edge signed
+//! ±1, prefix walks counted on the old epoch and suffix walks on the new one
+//! — yields every entry's exact walk-count delta. An entry appears when its
+//! count leaves zero and disappears exactly when its last walk dies. The
+//! prefix and suffix walks stay inside the k-neighborhood of the changed
+//! edges, so a batch touches only that neighborhood rather than the whole
+//! index.
+//!
+//! The graph epochs ([`Graph::commit_net`]) are the only adjacency: the
+//! table never stores edges of its own.
 
-use crate::backend::{
-    check_scan_path, BackendResult, BackendScan, BackendStats, EntryChange, EntryDeltas,
-    PathIndexBackend,
-};
-use crate::pathkey::{
-    decode_entry, decode_pair, encode_entry, encode_path_prefix, encode_path_source_prefix,
-};
-use crate::KPathIndex;
+use crate::backend::{DeltaBatch, EntryChange, EntryDeltas};
+use crate::pathkey::{decode_entry, encode_entry, encode_path_prefix, prefix_successor};
 use pathix_audit::{AuditReport, StructuralAudit};
-use pathix_graph::{EdgeOp, Graph, LabelId, NodeId, SignedLabel};
+use pathix_graph::{EdgeOp, Graph, LabelId, NodeId, SignedLabel, VocabBatch};
 use pathix_rpq::ast::inverse_path;
-use pathix_storage::BPlusTree;
 use std::cmp::Ordering;
-use std::collections::HashMap;
-use std::time::Instant;
+use std::collections::{BTreeMap, HashMap};
+use std::ops::Bound;
 
-/// An edge update applied to an [`IncrementalKPathIndex`] (id variants) or to
-/// a `PathDb` (all variants; the named forms intern unseen vocabulary on the
-/// fly before reaching the index).
+/// An edge update handed to `PathDb::apply`: by interned ids, or by external
+/// names that the database interns on the fly (streaming ingest).
+///
+/// A batch of updates has **net** semantics per `(label, src, dst)` key (see
+/// [`Graph::commit_net`]): only the first and last update of a key matter,
+/// and the key changes only when both agree and differ from the graph. An
+/// insert and a delete of the same edge in one batch therefore cancel out.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GraphUpdate {
     /// Insert the edge `src --label--> dst` (no-op if already present).
@@ -66,9 +64,7 @@ pub enum GraphUpdate {
         dst: NodeId,
     },
     /// Insert an edge by external names, interning any unseen node or label
-    /// name into the database's live vocabulary (streaming ingest). The
-    /// incremental index itself cannot resolve names — `PathDb::apply` lowers
-    /// this to an id-based insertion first.
+    /// name into the database's live vocabulary (streaming ingest).
     InsertEdgeNamed {
         /// Source node name.
         src: String,
@@ -135,86 +131,6 @@ impl GraphUpdate {
             GraphUpdate::InsertEdgeNamed { .. } | GraphUpdate::DeleteEdgeNamed { .. } => None,
         }
     }
-
-    /// Lifts a resolved edge operation back into an id-based update.
-    pub fn from_op(op: EdgeOp) -> Self {
-        if op.insert {
-            GraphUpdate::insert(op.src, op.label, op.dst)
-        } else {
-            GraphUpdate::delete(op.src, op.label, op.dst)
-        }
-    }
-}
-
-/// Dynamic adjacency over set-semantics labeled edges.
-///
-/// Neighbor lists are kept sorted so that walk expansion is deterministic and
-/// membership checks are logarithmic.
-#[derive(Debug, Clone, Default)]
-struct DynAdjacency {
-    /// `(node, signed label) → sorted neighbor list`.
-    succ: HashMap<(NodeId, SignedLabel), Vec<NodeId>>,
-    edge_count: usize,
-    max_label: Option<LabelId>,
-}
-
-impl DynAdjacency {
-    fn contains(&self, src: NodeId, label: LabelId, dst: NodeId) -> bool {
-        self.succ
-            .get(&(src, SignedLabel::forward(label)))
-            .is_some_and(|v| v.binary_search(&dst).is_ok())
-    }
-
-    fn insert(&mut self, src: NodeId, label: LabelId, dst: NodeId) -> bool {
-        if self.contains(src, label, dst) {
-            return false;
-        }
-        for (from, sl, to) in [
-            (src, SignedLabel::forward(label), dst),
-            (dst, SignedLabel::backward(label), src),
-        ] {
-            let list = self.succ.entry((from, sl)).or_default();
-            let pos = list.binary_search(&to).unwrap_err();
-            list.insert(pos, to);
-        }
-        self.edge_count += 1;
-        self.max_label = Some(self.max_label.map_or(label, |m| m.max(label)));
-        true
-    }
-
-    fn remove(&mut self, src: NodeId, label: LabelId, dst: NodeId) -> bool {
-        if !self.contains(src, label, dst) {
-            return false;
-        }
-        for (from, sl, to) in [
-            (src, SignedLabel::forward(label), dst),
-            (dst, SignedLabel::backward(label), src),
-        ] {
-            let list = self.succ.get_mut(&(from, sl)).expect("edge present");
-            let pos = list.binary_search(&to).expect("edge present");
-            list.remove(pos);
-            if list.is_empty() {
-                self.succ.remove(&(from, sl));
-            }
-        }
-        self.edge_count -= 1;
-        true
-    }
-
-    fn neighbors(&self, node: NodeId, sl: SignedLabel) -> &[NodeId] {
-        self.succ.get(&(node, sl)).map_or(&[], Vec::as_slice)
-    }
-
-    /// Builds the adjacency from an existing graph's (deduplicated) edges.
-    fn from_graph(graph: &Graph) -> Self {
-        let mut adj = DynAdjacency::default();
-        for label in graph.labels() {
-            for (src, dst) in graph.edges(label) {
-                adj.insert(src, label, dst);
-            }
-        }
-        adj
-    }
 }
 
 /// Packs a node pair into one map key.
@@ -223,50 +139,46 @@ fn pack_pair(a: NodeId, b: NodeId) -> u64 {
     ((a.0 as u64) << 32) | b.0 as u64
 }
 
-/// Reusable scratch space of the per-update delta enumeration. Batches apply
-/// many updates back to back; clearing these collections keeps their
-/// capacity, so the hot path stops reallocating the accumulator map, the
-/// encoded-delta vector and the signed alphabet on every single update.
-#[derive(Debug, Clone, Default)]
-struct DeltaScratch {
-    /// `(path, a, b) → walk-count delta` accumulator of one enumeration.
-    delta: HashMap<(Vec<SignedLabel>, NodeId, NodeId), u64>,
-    /// Encoded `(key, count)` output of one enumeration.
-    out: Vec<(Vec<u8>, u64)>,
-    /// Cached signed alphabet, valid while `alphabet_max` matches the
-    /// adjacency's maximum label.
-    alphabet: Vec<SignedLabel>,
-    alphabet_max: Option<LabelId>,
-}
+/// Walk counts per far endpoint, for each label path anchored at one node.
+type WalksByPath = Vec<(Vec<SignedLabel>, HashMap<NodeId, u64>)>;
 
-/// A k-path index that stays consistent under edge insertions and deletions.
+/// The writer's walk-count table of the k-path index.
 ///
-/// Unlike [`crate::KPathIndex`] (bulk-built, read-only), this index stores a
-/// walk count per `⟨p, a, b⟩` entry and applies counting delta rules on every
-/// update, so the visible pair sets always equal what a full rebuild over the
-/// current edge set would produce.
+/// It maps every `⟨p, a, b⟩` entry to its number of walks and keeps the
+/// per-path cardinalities and the `|paths_k(G)|` refcounts that the
+/// histogram and the backends need. [`IncrementalKPathIndex::apply_batch`]
+/// commits a batch to the graph and absorbs its net change set, so the
+/// visible pair sets always equal what a full rebuild over the new epoch
+/// would produce.
 ///
 /// ```
-/// use pathix_graph::{LabelId, NodeId};
-/// use pathix_index::IncrementalKPathIndex;
+/// use pathix_graph::{EdgeOp, GraphBuilder, SignedLabel};
+/// use pathix_index::{EntryDeltas, IncrementalKPathIndex};
 ///
-/// let mut index = IncrementalKPathIndex::new(2);
-/// let knows = LabelId(0);
-/// index.insert_edge(NodeId(0), knows, NodeId(1));
-/// index.insert_edge(NodeId(1), knows, NodeId(2));
-/// let kk: Vec<_> = index.scan_path(&[knows.into(), knows.into()]);
-/// assert_eq!(kk, vec![(NodeId(0), NodeId(2))]);
-/// index.delete_edge(NodeId(1), knows, NodeId(2));
-/// assert!(index.scan_path(&[knows.into(), knows.into()]).is_empty());
+/// let mut b = GraphBuilder::new();
+/// b.add_edge_named("ada", "knows", "jan");
+/// let graph = b.build();
+/// let mut index = IncrementalKPathIndex::bulk_from_graph(&graph, 2);
+///
+/// let mut batch = graph.vocab_batch();
+/// let (jan, zoe) = (batch.intern_node("jan"), batch.intern_node("zoe"));
+/// let knows = batch.label_id("knows").unwrap();
+/// let mut log = EntryDeltas::new();
+/// let (next, changes) = index
+///     .apply_batch(&graph, batch, &[EdgeOp::insert(jan, knows, zoe)], &mut log)
+///     .unwrap();
+/// assert_eq!(changes.len(), 1);
+/// let kk = [SignedLabel::forward(knows); 2];
+/// let ada = next.node_id("ada").unwrap();
+/// assert_eq!(index.scan_path(&kk), vec![(ada, zoe)]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct IncrementalKPathIndex {
     k: usize,
-    adj: DynAdjacency,
-    /// `⟨p, a, b⟩ → walk count` (count stored as little-endian `u64`).
-    tree: BPlusTree,
+    /// `⟨p, a, b⟩ → walk count`; every stored count is positive.
+    counts: BTreeMap<Vec<u8>, u64>,
     /// Distinct pair count per indexed path (only non-empty paths), sorted by
-    /// `(length, path)` — the same order [`crate::KPathIndex`] reports.
+    /// `(length, path)`.
     per_path: Vec<(Vec<SignedLabel>, u64)>,
     /// `packed (a, b) → number of label paths currently realizing the pair`:
     /// the bookkeeping behind the `|paths_k(G)|` selectivity denominator.
@@ -274,105 +186,59 @@ pub struct IncrementalKPathIndex {
     /// Distinct non-identity pairs currently referenced (cached so
     /// [`IncrementalKPathIndex::paths_k_size`] is O(1)).
     linked_pairs: u64,
-    /// Number of nodes of the maintained graph (grows with observed ids).
+    /// Number of nodes of the graph epoch the table describes.
     node_count: usize,
-    inserts_applied: u64,
-    deletes_applied: u64,
-    /// Reused across updates; see [`DeltaScratch`].
-    scratch: DeltaScratch,
 }
 
 impl IncrementalKPathIndex {
-    /// Creates an empty index with locality parameter `k ≥ 1`.
+    /// Creates an empty table with locality parameter `k ≥ 1` — the table of
+    /// [`Graph::empty`].
     pub fn new(k: usize) -> Self {
         assert!(k >= 1, "the k-path index requires k ≥ 1");
         IncrementalKPathIndex {
             k,
-            adj: DynAdjacency::default(),
-            tree: BPlusTree::new(),
+            counts: BTreeMap::new(),
             per_path: Vec::new(),
             pair_refs: HashMap::new(),
             linked_pairs: 0,
             node_count: 0,
-            inserts_applied: 0,
-            deletes_applied: 0,
-            scratch: DeltaScratch::default(),
         }
     }
 
-    /// Builds the index over an existing graph by replaying its edges as
-    /// insertions. The resulting pair sets are identical to
-    /// [`crate::KPathIndex::build`] over the same graph.
-    ///
-    /// Each replayed edge pays the full delta computation; prefer
-    /// [`IncrementalKPathIndex::bulk_from_graph`] when seeding from a large
-    /// graph.
-    pub fn from_graph(graph: &Graph, k: usize) -> Self {
+    /// Builds the table over an existing graph with bulk counted path
+    /// enumeration ([`enumerate_counted_paths`]) and one sorted bulk load.
+    pub fn bulk_from_graph(graph: &Graph, k: usize) -> Self {
         let mut index = Self::new(k);
         index.node_count = graph.node_count();
-        for label in graph.labels() {
-            for (src, dst) in graph.edges(label) {
-                index.insert_edge(src, label, dst);
-            }
-        }
-        index
-    }
-
-    /// Builds the index over an existing graph with bulk counted path
-    /// enumeration — the same level-by-level joins [`crate::KPathIndex`] uses,
-    /// except carrying walk multiplicities — and a single sorted bulk load.
-    ///
-    /// The result is identical to [`IncrementalKPathIndex::from_graph`]
-    /// (property-tested) at a fraction of the seeding cost, which is what
-    /// makes upgrading a bulk-built database to live updates affordable.
-    pub fn bulk_from_graph(graph: &Graph, k: usize) -> Self {
-        assert!(k >= 1, "the k-path index requires k ≥ 1");
-        let relations = enumerate_counted_paths(graph, k);
-
-        let mut per_path = Vec::with_capacity(relations.len());
-        let mut pair_refs: HashMap<u64, u32> = HashMap::new();
-        let mut linked_pairs = 0u64;
-        let mut entries: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
-        for (path, pairs) in &relations {
-            per_path.push((path.clone(), pairs.len() as u64));
-            for &((a, b), walks) in pairs {
-                entries.push((encode_entry(path, a, b), encode_count(walks)));
-                let refs = pair_refs.entry(pack_pair(a, b)).or_insert(0);
-                *refs += 1;
-                if *refs == 1 && a != b {
-                    linked_pairs += 1;
-                }
+        let mut entries: Vec<(Vec<u8>, u64)> = Vec::new();
+        for (path, pairs) in enumerate_counted_paths(graph, k) {
+            index.per_path.push((path.clone(), pairs.len() as u64));
+            for ((a, b), walks) in pairs {
+                entries.push((encode_entry(&path, a, b), walks));
+                index.add_pair_ref(a, b);
             }
         }
         entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        IncrementalKPathIndex {
-            k,
-            adj: DynAdjacency::from_graph(graph),
-            tree: BPlusTree::bulk_load(entries),
-            per_path,
-            pair_refs,
-            linked_pairs,
-            node_count: graph.node_count(),
-            inserts_applied: 0,
-            deletes_applied: 0,
-            scratch: DeltaScratch::default(),
-        }
+        index.counts = entries.into_iter().collect();
+        index
     }
 
-    /// Rebuilds a live writer from persisted `(entry key, walk count)` pairs
-    /// — the values a durable backend (the paged B+tree) stores on disk —
-    /// plus the graph the entries were computed over.
+    /// Rebuilds the table from persisted `(entry key, walk count)` pairs —
+    /// the values a durable backend (the paged B+tree) stores on disk — for
+    /// the graph epoch they were computed over.
     ///
     /// This is the restart path: instead of re-enumerating every counted path
     /// relation of the graph ([`IncrementalKPathIndex::bulk_from_graph`]),
-    /// the entries stream straight into a sorted bulk load while one linear
-    /// pass recounts the per-path cardinalities and the `|paths_k(G)|`
+    /// the entries stream straight into the table while one linear pass
+    /// recounts the per-path cardinalities and the `|paths_k(G)|`
     /// bookkeeping. `entries` must arrive in ascending key order (the order
     /// any tree scan yields) with strictly positive counts.
     ///
     /// Fails (with a description, to be wrapped by the caller) when a key is
-    /// not a well-formed `⟨p, a, b⟩` entry, when a count is zero, or when the
-    /// keys are out of order — all symptoms of a corrupt persisted tree.
+    /// not a well-formed `⟨p, a, b⟩` entry of this graph (a path longer than
+    /// k, or a label or node the graph never interned), when a count is
+    /// zero, or when the keys are out of order — all symptoms of a corrupt
+    /// persisted tree.
     pub fn from_persisted_entries(
         graph: &Graph,
         k: usize,
@@ -381,10 +247,9 @@ impl IncrementalKPathIndex {
         if k < 1 {
             return Err("the k-path index requires k ≥ 1".to_string());
         }
-        let mut per_path: Vec<(Vec<SignedLabel>, u64)> = Vec::new();
-        let mut pair_refs: HashMap<u64, u32> = HashMap::new();
-        let mut linked_pairs = 0u64;
-        let mut loaded: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
+        let mut index = Self::new(k);
+        index.node_count = graph.node_count();
+        let mut loaded: Vec<(Vec<u8>, u64)> = Vec::new();
         for (key, count) in entries {
             let Some((path, a, b)) = decode_entry(&key) else {
                 return Err(format!(
@@ -392,57 +257,40 @@ impl IncrementalKPathIndex {
                     key.len()
                 ));
             };
+            let foreign = path.is_empty()
+                || path.len() > k
+                || path
+                    .iter()
+                    .any(|sl| sl.label.index() >= graph.label_count())
+                || a.index() >= graph.node_count()
+                || b.index() >= graph.node_count();
+            if foreign {
+                return Err(format!(
+                    "persisted entry for path {path:?} pair ({a:?}, {b:?}) does not belong to \
+                     the recovered graph ({} nodes, {} labels, k = {k})",
+                    graph.node_count(),
+                    graph.label_count()
+                ));
+            }
             if count == 0 {
                 return Err(format!(
                     "persisted entry for path {path:?} pair ({a:?}, {b:?}) has a zero walk count"
                 ));
             }
-            if let Some((prev, _)) = loaded.last() {
-                if *prev >= key {
-                    return Err("persisted entries are not in ascending key order".to_string());
-                }
+            if loaded.last().is_some_and(|(prev, _)| *prev >= key) {
+                return Err("persisted entries are not in ascending key order".to_string());
             }
-            match per_path.last_mut() {
+            match index.per_path.last_mut() {
                 Some((p, n)) if *p == path => *n += 1,
-                _ => per_path.push((path, 1)),
+                _ => index.per_path.push((path, 1)),
             }
-            let refs = pair_refs.entry(pack_pair(a, b)).or_insert(0);
-            *refs += 1;
-            if *refs == 1 && a != b {
-                linked_pairs += 1;
-            }
-            loaded.push((key, encode_count(count)));
+            index.add_pair_ref(a, b);
+            loaded.push((key, count));
         }
-        Ok(IncrementalKPathIndex {
-            k,
-            adj: DynAdjacency::from_graph(graph),
-            tree: BPlusTree::bulk_load(loaded),
-            per_path,
-            pair_refs,
-            linked_pairs,
-            node_count: graph.node_count(),
-            inserts_applied: 0,
-            deletes_applied: 0,
-            scratch: DeltaScratch::default(),
-        })
-    }
-
-    /// Freezes the current state into a read-optimized [`crate::KPathIndex`]
-    /// (walk counts dropped, entries bulk-loaded in key order). This is how a
-    /// live database publishes immutable read snapshots after a batch of
-    /// updates without re-enumerating any path relation.
-    pub fn freeze(&self) -> KPathIndex {
-        let start = Instant::now();
-        let mut entries: Vec<(Vec<u8>, Vec<u8>)> = Vec::with_capacity(self.tree.len());
-        entries.extend(self.tree.iter().map(|(key, _)| (key.to_vec(), Vec::new())));
-        KPathIndex::from_raw_parts(
-            self.k,
-            self.node_count,
-            BPlusTree::bulk_load(entries),
-            self.per_path.clone(),
-            self.paths_k_size(),
-            start,
-        )
+        // Key order is `(length, path, a, b)` order, so `per_path` came out
+        // sorted by `(length, path)` already.
+        index.counts = loaded.into_iter().collect();
+        Ok(index)
     }
 
     /// The locality parameter k.
@@ -450,14 +298,9 @@ impl IncrementalKPathIndex {
         self.k
     }
 
-    /// Number of edges currently in the maintained graph.
-    pub fn edge_count(&self) -> usize {
-        self.adj.edge_count
-    }
-
     /// Number of `⟨p, a, b⟩` entries currently stored.
     pub fn entry_count(&self) -> usize {
-        self.tree.len()
+        self.counts.len()
     }
 
     /// Number of distinct non-empty label paths with at least one pair.
@@ -465,9 +308,8 @@ impl IncrementalKPathIndex {
         self.per_path.len()
     }
 
-    /// Number of nodes of the maintained graph. Seeded from the source graph
-    /// by the `from_graph` constructors and grown to cover every node id an
-    /// insertion mentions; deletions never shrink it (ids stay interned).
+    /// Number of nodes of the graph epoch the table describes (ids stay
+    /// interned, so deletions never shrink it).
     pub fn node_count(&self) -> usize {
         self.node_count
     }
@@ -479,17 +321,6 @@ impl IncrementalKPathIndex {
         self.node_count as u64 + self.linked_pairs
     }
 
-    /// Number of insert / delete updates applied so far (no-ops excluded;
-    /// bulk seeding counts as zero updates).
-    pub fn updates_applied(&self) -> (u64, u64) {
-        (self.inserts_applied, self.deletes_applied)
-    }
-
-    /// Whether the maintained graph currently contains the edge.
-    pub fn has_edge(&self, src: NodeId, label: LabelId, dst: NodeId) -> bool {
-        self.adj.contains(src, label, dst)
-    }
-
     /// Exact distinct-pair cardinalities `(p, |p(G)|)` sorted by
     /// `(length, path)`, the raw material for rebuilding a
     /// [`crate::PathHistogram`] after a batch of updates.
@@ -497,320 +328,212 @@ impl IncrementalKPathIndex {
         &self.per_path
     }
 
+    /// Every stored `(entry key, walk count)` pair in key order — the same
+    /// shape a paged backend's `counted_entries` yields, so the two copies
+    /// can be compared.
+    pub fn entries(&self) -> impl Iterator<Item = (&[u8], u64)> + '_ {
+        self.counts
+            .iter()
+            .map(|(key, &count)| (key.as_slice(), count))
+    }
+
     /// `I_{G,k}(⟨p⟩)`: the current pairs of `p(G)` in `(source, target)`
     /// order.
     ///
-    /// Panics if `path` is empty or longer than k, mirroring
-    /// [`crate::KPathIndex::scan_path`].
+    /// Panics if `path` is empty or longer than k.
     pub fn scan_path(&self, path: &[SignedLabel]) -> Vec<(NodeId, NodeId)> {
         assert!(
             !path.is_empty() && path.len() <= self.k,
             "scan_path expects a path of length 1..=k"
         );
         let prefix = encode_path_prefix(path);
-        self.tree
-            .scan_prefix(&prefix)
-            .map(|(key, _)| decode_pair(key))
+        let end = prefix_successor(&prefix).map_or(Bound::Unbounded, Bound::Excluded);
+        self.counts
+            .range::<[u8], _>((
+                Bound::Included(prefix.as_slice()),
+                end.as_ref().map(Vec::as_slice),
+            ))
+            .filter_map(|(key, _)| decode_entry(key).map(|(_, a, b)| (a, b)))
             .collect()
     }
 
     /// Membership test for `⟨p, a, b⟩`.
     pub fn contains(&self, path: &[SignedLabel], source: NodeId, target: NodeId) -> bool {
-        self.tree.contains_key(&encode_entry(path, source, target))
+        self.counts
+            .contains_key(&encode_entry(path, source, target))
     }
 
     /// Number of distinct walks of shape `path` from `source` to `target`
     /// (zero if the pair is not in the index).
     pub fn walk_count(&self, path: &[SignedLabel], source: NodeId, target: NodeId) -> u64 {
-        self.tree
+        self.counts
             .get(&encode_entry(path, source, target))
-            .map_or(0, decode_count)
+            .copied()
+            .unwrap_or(0)
     }
 
-    /// Applies a single update, returning `true` if it changed the graph.
-    pub fn apply(&mut self, update: GraphUpdate) -> bool {
-        self.apply_inner(update, None)
-    }
-
-    /// Applies a single update like [`IncrementalKPathIndex::apply`], but
-    /// additionally records every key-level transition (entry appeared /
-    /// entry disappeared) in `log`.
+    /// Commits `ops` to `graph` as one batch and absorbs it: the graph decides
+    /// which ops take effect ([`Graph::commit_net`]), then one counting pass
+    /// over that net change set writes one absolute walk count per touched
+    /// key into `log` (0 = the key disappeared) together with the key's
+    /// existence transition, if any. Returns the next epoch and the net
+    /// change set.
     ///
-    /// This is the bridge that makes the other storage backends mutable: the
-    /// counting delta enumeration runs once here, and the resulting
-    /// [`EntryDeltas`] are replayed verbatim against the paged B+tree and the
-    /// compressed overlay (see
-    /// [`MutablePathIndexBackend`](crate::MutablePathIndexBackend)).
-    pub fn apply_logged(&mut self, update: GraphUpdate, log: &mut EntryDeltas) -> bool {
-        self.apply_inner(update, Some(log))
-    }
-
-    fn apply_inner(&mut self, update: GraphUpdate, log: Option<&mut EntryDeltas>) -> bool {
-        match update {
-            GraphUpdate::InsertEdge { src, label, dst } => {
-                self.insert_edge_inner(src, label, dst, log)
-            }
-            GraphUpdate::DeleteEdge { src, label, dst } => {
-                self.delete_edge_inner(src, label, dst, log)
-            }
-            GraphUpdate::InsertEdgeNamed { .. } | GraphUpdate::DeleteEdgeNamed { .. } => panic!(
-                "named graph updates must be resolved against a vocabulary before \
-                 reaching the incremental index"
-            ),
-        }
-    }
-
-    /// Inserts the edge `src --label--> dst`, updating every affected index
-    /// entry. Returns `false` (and changes nothing) if the edge was already
-    /// present.
-    pub fn insert_edge(&mut self, src: NodeId, label: LabelId, dst: NodeId) -> bool {
-        self.insert_edge_inner(src, label, dst, None)
-    }
-
-    fn insert_edge_inner(
+    /// Fails — leaving the table untouched — when a count would drop below
+    /// zero, which means the table no longer describes `graph` (for example,
+    /// it was seeded from corrupt persisted entries).
+    pub fn apply_batch(
         &mut self,
-        src: NodeId,
-        label: LabelId,
-        dst: NodeId,
-        mut log: Option<&mut EntryDeltas>,
-    ) -> bool {
-        if !self.adj.insert(src, label, dst) {
-            return false;
-        }
-        self.node_count = self.node_count.max(src.index() + 1).max(dst.index() + 1);
-        // Prefixes are evaluated on the old graph (new graph minus the edge),
-        // suffixes on the new graph: Δ(R₁⋯Rₙ) = Σᵢ R₁ᵒ⋯Rᵢ₋₁ᵒ · Δe · Rᵢ₊₁ⁿ⋯Rₙⁿ.
-        let mut scratch = std::mem::take(&mut self.scratch);
-        self.edge_delta(src, label, dst, &mut scratch);
-        for (key, count) in scratch.out.drain(..) {
-            self.add_to_entry(&key, count, log.as_deref_mut());
-        }
-        self.scratch = scratch;
-        self.inserts_applied += 1;
-        true
-    }
-
-    /// Deletes the edge `src --label--> dst`, updating every affected index
-    /// entry. Returns `false` (and changes nothing) if the edge was absent.
-    pub fn delete_edge(&mut self, src: NodeId, label: LabelId, dst: NodeId) -> bool {
-        self.delete_edge_inner(src, label, dst, None)
-    }
-
-    fn delete_edge_inner(
-        &mut self,
-        src: NodeId,
-        label: LabelId,
-        dst: NodeId,
-        mut log: Option<&mut EntryDeltas>,
-    ) -> bool {
-        if !self.adj.contains(src, label, dst) {
-            return false;
-        }
-        // The deletion delta mirrors insertion with old/new swapped:
-        // prefixes on the new graph (old minus the edge), suffixes on the old
-        // graph — which is exactly `edge_delta` evaluated *before* the edge is
-        // removed from the adjacency.
-        let mut scratch = std::mem::take(&mut self.scratch);
-        self.edge_delta(src, label, dst, &mut scratch);
-        for (key, count) in scratch.out.drain(..) {
-            self.subtract_from_entry(&key, count, log.as_deref_mut());
-        }
-        self.scratch = scratch;
-        self.adj.remove(src, label, dst);
-        self.deletes_applied += 1;
-        true
-    }
-
-    /// Walk-count deltas contributed by the edge `src --label--> dst` for
-    /// every label path of length ≤ k, with path prefixes evaluated on the
-    /// adjacency *excluding* the edge and suffixes on the adjacency as-is.
-    /// The encoded `(key, count)` deltas land in `scratch.out`.
-    fn edge_delta(&self, src: NodeId, label: LabelId, dst: NodeId, scratch: &mut DeltaScratch) {
-        if scratch.alphabet_max != self.adj.max_label {
-            scratch.alphabet.clear();
-            if let Some(max) = self.adj.max_label {
-                scratch.alphabet.extend((0..=max.0).flat_map(|l| {
-                    [
-                        SignedLabel::forward(LabelId(l)),
-                        SignedLabel::backward(LabelId(l)),
-                    ]
-                }));
+        graph: &Graph,
+        batch: VocabBatch,
+        ops: &[EdgeOp],
+        log: &mut EntryDeltas,
+    ) -> Result<(Graph, Vec<EdgeOp>), String> {
+        let (next, changes) = graph.commit_net(batch, ops);
+        let mut writes: Vec<(Vec<u8>, u64, u64)> = Vec::new();
+        for (key, delta) in self.count_deltas(graph, &next, &changes) {
+            let old = self.counts.get(&key).copied().unwrap_or(0);
+            let new = old as i64 + delta;
+            if new < 0 {
+                let entry = decode_entry(&key);
+                return Err(format!(
+                    "walk count of {entry:?} would drop from {old} to {new}: the count table \
+                     does not describe the graph it is applied to"
+                ));
             }
-            scratch.alphabet_max = self.adj.max_label;
+            writes.push((key, old, new as u64));
         }
-        scratch.delta.clear();
-        scratch.out.clear();
-        let excluded = (src, label, dst);
-        let delta = &mut scratch.delta;
-
-        // The two orientations in which the edge can realize a path step: a
-        // `+ℓ` step gains the pair (src, dst), a `ℓ⁻` step gains (dst, src).
-        // Every (path, position) combination is covered by exactly one of
-        // them, so there is no double counting (including self-loops).
-        let orientations = [
-            (SignedLabel::forward(label), src, dst),
-            (SignedLabel::backward(label), dst, src),
-        ];
-        for (step, step_from, step_to) in orientations {
-            // All (prefix, suffix) shapes around the step, |prefix| + 1 +
-            // |suffix| ≤ k. Prefix walks end at `step_from` on the old graph;
-            // suffix walks start at `step_to` on the new graph.
-            let prefixes = self.walks_by_path(
-                step_from,
-                self.k - 1,
-                true,
-                Some(excluded),
-                &scratch.alphabet,
-            );
-            let suffixes = self.walks_by_path(step_to, self.k - 1, false, None, &scratch.alphabet);
-            for (prefix, sources) in &prefixes {
-                for (suffix, targets) in &suffixes {
-                    if prefix.len() + 1 + suffix.len() > self.k {
-                        continue;
-                    }
-                    let mut path = Vec::with_capacity(prefix.len() + 1 + suffix.len());
-                    path.extend_from_slice(prefix);
-                    path.push(step);
-                    path.extend_from_slice(suffix);
-                    for (&a, &ca) in sources {
-                        for (&b, &cb) in targets {
-                            *delta.entry((path.clone(), a, b)).or_insert(0) += ca * cb;
-                        }
-                    }
-                }
+        self.node_count = next.node_count();
+        for (key, old, new) in writes {
+            log.record_count(&key, new);
+            if old == 0 {
+                log.record(&key, EntryChange::Added);
+                self.entry_added(&key);
+            } else if new == 0 {
+                log.record(&key, EntryChange::Removed);
+                self.entry_removed(&key);
+            }
+            if new == 0 {
+                self.counts.remove(&key);
+            } else {
+                self.counts.insert(key, new);
             }
         }
-        scratch.out.extend(
-            delta
-                .drain()
-                .map(|((path, a, b), c)| (encode_entry(&path, a, b), c)),
-        );
+        Ok((next, changes))
     }
 
-    /// Enumerates, for every label path `q` with `|q| ≤ max_len`, the walk
-    /// counts between `anchor` and the far endpoint.
-    ///
-    /// With `toward_anchor = false` the result maps `q → {end ↦ #walks of q
-    /// from anchor to end}`; with `toward_anchor = true` it maps `q → {start ↦
-    /// #walks of q from start to anchor}`. `excluded`, if set, removes one
-    /// concrete edge from the traversed graph (in both directions).
-    fn walks_by_path(
-        &self,
-        anchor: NodeId,
-        max_len: usize,
-        toward_anchor: bool,
-        excluded: Option<(NodeId, LabelId, NodeId)>,
-        alphabet: &[SignedLabel],
-    ) -> Vec<(Vec<SignedLabel>, HashMap<NodeId, u64>)> {
-        let mut base = HashMap::new();
-        base.insert(anchor, 1u64);
-        let mut result = vec![(Vec::new(), base)];
-        let mut frontier = 0;
-        while frontier < result.len() {
-            let (path, counts) = result[frontier].clone();
-            frontier += 1;
-            if path.len() == max_len {
-                continue;
-            }
-            for &sl in alphabet {
-                // Walking *toward* the anchor extends the path on the left and
-                // traverses the new first step backwards; walking away extends
-                // on the right and traverses it forwards.
-                let traverse = if toward_anchor { sl.inverse() } else { sl };
-                let mut next: HashMap<NodeId, u64> = HashMap::new();
-                for (&node, &count) in &counts {
-                    for &to in self.adj.neighbors(node, traverse) {
-                        if is_excluded(excluded, node, traverse, to) {
+    /// The [`DeltaBatch`] a backend absorbs for the batch that logged
+    /// `deltas` and changed `changes`, carrying this table's fresh
+    /// statistics and the commit sequence number `seq`.
+    pub fn delta_batch<'a>(
+        &'a self,
+        deltas: &'a EntryDeltas,
+        changes: &[EdgeOp],
+        seq: u64,
+    ) -> DeltaBatch<'a> {
+        let inserted = changes.iter().filter(|op| op.insert).count() as u64;
+        DeltaBatch {
+            deltas,
+            per_path_counts: &self.per_path,
+            paths_k_size: self.paths_k_size(),
+            node_count: self.node_count,
+            inserted_edges: inserted,
+            deleted_edges: changes.len() as u64 - inserted,
+            seq,
+        }
+    }
+
+    /// The signed walk-count delta of every entry the net change set
+    /// touches, in key order, zero deltas dropped: for each changed edge
+    /// (signed +1 inserted, −1 deleted) and each of the two orientations in
+    /// which it can realize a path step, the product of the prefix walks
+    /// ending at the step on `old` and the suffix walks leaving it on `new`.
+    fn count_deltas(&self, old: &Graph, new: &Graph, changes: &[EdgeOp]) -> Vec<(Vec<u8>, i64)> {
+        let k = self.k;
+        let mut delta: HashMap<Vec<SignedLabel>, HashMap<(NodeId, NodeId), i64>> = HashMap::new();
+        let mut path: Vec<SignedLabel> = Vec::with_capacity(k);
+        for op in changes {
+            let sign: i64 = if op.insert { 1 } else { -1 };
+            // A `+ℓ` step gains the pair (src, dst), a `ℓ⁻` step gains
+            // (dst, src). Every (path, position) combination is covered by
+            // exactly one of them, so there is no double counting (including
+            // self-loops).
+            for (step, from, to) in [
+                (SignedLabel::forward(op.label), op.src, op.dst),
+                (SignedLabel::backward(op.label), op.dst, op.src),
+            ] {
+                let prefixes = walks_by_path(old, from, k - 1, true);
+                let suffixes = walks_by_path(new, to, k - 1, false);
+                for (prefix, sources) in &prefixes {
+                    for (suffix, targets) in &suffixes {
+                        if prefix.len() + 1 + suffix.len() > k {
                             continue;
                         }
-                        *next.entry(to).or_insert(0) += count;
+                        path.clear();
+                        path.extend_from_slice(prefix);
+                        path.push(step);
+                        path.extend_from_slice(suffix);
+                        let pairs = delta.entry(path.clone()).or_default();
+                        for (&a, &ca) in sources {
+                            for (&b, &cb) in targets {
+                                *pairs.entry((a, b)).or_insert(0) += sign * (ca * cb) as i64;
+                            }
+                        }
                     }
                 }
-                if next.is_empty() {
-                    continue;
-                }
-                let mut next_path = Vec::with_capacity(path.len() + 1);
-                if toward_anchor {
-                    next_path.push(sl);
-                    next_path.extend_from_slice(&path);
-                } else {
-                    next_path.extend_from_slice(&path);
-                    next_path.push(sl);
-                }
-                result.push((next_path, next));
             }
         }
-        result
+        let mut out: Vec<(Vec<u8>, i64)> = delta
+            .into_iter()
+            .flat_map(|(path, pairs)| {
+                pairs
+                    .into_iter()
+                    .filter(|&(_, d)| d != 0)
+                    .map(move |((a, b), d)| (encode_entry(&path, a, b), d))
+            })
+            .collect();
+        out.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        out
     }
 
-    fn add_to_entry(&mut self, key: &[u8], delta: u64, log: Option<&mut EntryDeltas>) {
-        debug_assert!(delta > 0);
-        let existing = self.tree.get(key).map(decode_count);
-        match existing {
-            Some(count) => {
-                if let Some(log) = log {
-                    log.record_count(key, count + delta);
-                }
-                self.tree.insert(key.to_vec(), encode_count(count + delta));
-            }
-            None => {
-                if let Some(log) = log {
-                    log.record(key, EntryChange::Added);
-                    log.record_count(key, delta);
-                }
-                self.tree.insert(key.to_vec(), encode_count(delta));
-                let (path, a, b) =
-                    crate::pathkey::decode_entry(key).expect("index keys are well-formed");
-                match self.path_slot(&path) {
-                    Ok(i) => self.per_path[i].1 += 1,
-                    Err(i) => self.per_path.insert(i, (path, 1)),
-                }
-                let refs = self.pair_refs.entry(pack_pair(a, b)).or_insert(0);
-                *refs += 1;
-                if *refs == 1 && a != b {
-                    self.linked_pairs += 1;
-                }
+    fn entry_added(&mut self, key: &[u8]) {
+        let Some((path, a, b)) = decode_entry(key) else {
+            return;
+        };
+        match self.path_slot(&path) {
+            Ok(i) => self.per_path[i].1 += 1,
+            Err(i) => self.per_path.insert(i, (path, 1)),
+        }
+        self.add_pair_ref(a, b);
+    }
+
+    fn entry_removed(&mut self, key: &[u8]) {
+        let Some((path, a, b)) = decode_entry(key) else {
+            return;
+        };
+        if let Ok(i) = self.path_slot(&path) {
+            self.per_path[i].1 -= 1;
+            if self.per_path[i].1 == 0 {
+                self.per_path.remove(i);
             }
         }
-    }
-
-    fn subtract_from_entry(&mut self, key: &[u8], delta: u64, log: Option<&mut EntryDeltas>) {
-        let count = self
-            .tree
-            .get(key)
-            .map(decode_count)
-            .expect("deletion delta must target an existing entry");
-        debug_assert!(count >= delta, "walk counts must not go negative");
-        if count > delta {
-            if let Some(log) = log {
-                log.record_count(key, count - delta);
-            }
-            self.tree.insert(key.to_vec(), encode_count(count - delta));
-        } else {
-            if let Some(log) = log {
-                log.record(key, EntryChange::Removed);
-                log.record_count(key, 0);
-            }
-            self.tree.delete(key);
-            let (path, a, b) =
-                crate::pathkey::decode_entry(key).expect("index keys are well-formed");
-            if let Ok(i) = self.path_slot(&path) {
-                self.per_path[i].1 -= 1;
-                if self.per_path[i].1 == 0 {
-                    self.per_path.remove(i);
-                }
-            }
-            let refs = self
-                .pair_refs
-                .get_mut(&pack_pair(a, b))
-                .expect("entry removal must target a referenced pair");
+        let packed = pack_pair(a, b);
+        if let Some(refs) = self.pair_refs.get_mut(&packed) {
             *refs -= 1;
             if *refs == 0 {
-                self.pair_refs.remove(&pack_pair(a, b));
+                self.pair_refs.remove(&packed);
                 if a != b {
                     self.linked_pairs -= 1;
                 }
             }
+        }
+    }
+
+    fn add_pair_ref(&mut self, a: NodeId, b: NodeId) {
+        let refs = self.pair_refs.entry(pack_pair(a, b)).or_insert(0);
+        *refs += 1;
+        if *refs == 1 && a != b {
+            self.linked_pairs += 1;
         }
     }
 
@@ -819,6 +542,56 @@ impl IncrementalKPathIndex {
         self.per_path
             .binary_search_by(|(p, _)| (p.len(), p.as_slice()).cmp(&(path.len(), path)))
     }
+}
+
+/// Enumerates, on `graph`, for every label path `q` with `|q| ≤ max_len`,
+/// the walk counts between `anchor` and the far endpoint.
+///
+/// With `toward_anchor = false` the result maps `q → {end ↦ #walks of q from
+/// anchor to end}`; with `toward_anchor = true` it maps `q → {start ↦ #walks
+/// of q from start to anchor}`. Paths without a walk are left out.
+fn walks_by_path(
+    graph: &Graph,
+    anchor: NodeId,
+    max_len: usize,
+    toward_anchor: bool,
+) -> WalksByPath {
+    let mut result: WalksByPath = vec![(Vec::new(), HashMap::from([(anchor, 1u64)]))];
+    let mut frontier = 0;
+    while frontier < result.len() {
+        let (path, counts) = &result[frontier];
+        frontier += 1;
+        if path.len() == max_len {
+            continue;
+        }
+        let mut grown: WalksByPath = Vec::new();
+        for sl in graph.signed_labels() {
+            // Walking *toward* the anchor extends the path on the left and
+            // traverses the new first step backwards; walking away extends
+            // on the right and traverses it forwards.
+            let traverse = if toward_anchor { sl.inverse() } else { sl };
+            let mut next: HashMap<NodeId, u64> = HashMap::new();
+            for (&node, &count) in counts {
+                for to in graph.neighbors(node, traverse) {
+                    *next.entry(to).or_insert(0) += count;
+                }
+            }
+            if next.is_empty() {
+                continue;
+            }
+            let mut next_path = Vec::with_capacity(path.len() + 1);
+            if toward_anchor {
+                next_path.push(sl);
+                next_path.extend_from_slice(path);
+            } else {
+                next_path.extend_from_slice(path);
+                next_path.push(sl);
+            }
+            grown.push((next_path, next));
+        }
+        result.append(&mut grown);
+    }
+    result
 }
 
 /// A label path with its walk-counted pair relation, sorted by `(a, b)`.
@@ -884,81 +657,14 @@ pub fn enumerate_counted_paths(graph: &Graph, k: usize) -> Vec<CountedRelation> 
     result
 }
 
-impl PathIndexBackend for IncrementalKPathIndex {
-    fn backend_name(&self) -> &'static str {
-        "incremental"
-    }
-
-    fn k(&self) -> usize {
-        self.k
-    }
-
-    fn node_count(&self) -> usize {
-        self.node_count
-    }
-
-    fn scan_path(&self, path: &[SignedLabel]) -> BackendResult<BackendScan<'_>> {
-        check_scan_path(PathIndexBackend::backend_name(self), self.k, path)?;
-        let prefix = encode_path_prefix(path);
-        Ok(Box::new(
-            self.tree
-                .scan_prefix(&prefix)
-                .map(|(key, _)| Ok(decode_pair(key))),
-        ))
-    }
-
-    fn scan_path_from(&self, path: &[SignedLabel], source: NodeId) -> BackendResult<Vec<NodeId>> {
-        check_scan_path(PathIndexBackend::backend_name(self), self.k, path)?;
-        let prefix = encode_path_source_prefix(path, source);
-        Ok(self
-            .tree
-            .scan_prefix(&prefix)
-            .map(|(key, _)| decode_pair(key).1)
-            .collect())
-    }
-
-    fn contains(
-        &self,
-        path: &[SignedLabel],
-        source: NodeId,
-        target: NodeId,
-    ) -> BackendResult<bool> {
-        Ok(IncrementalKPathIndex::contains(self, path, source, target))
-    }
-
-    fn path_cardinality(&self, path: &[SignedLabel]) -> Option<u64> {
-        self.path_slot(path).ok().map(|i| self.per_path[i].1)
-    }
-
-    fn per_path_counts(&self) -> &[(Vec<SignedLabel>, u64)] {
-        &self.per_path
-    }
-
-    fn paths_k_size(&self) -> u64 {
-        IncrementalKPathIndex::paths_k_size(self)
-    }
-
-    fn stats(&self) -> BackendStats {
-        let tree_stats = self.tree.stats();
-        BackendStats {
-            backend: PathIndexBackend::backend_name(self),
-            k: self.k,
-            entries: tree_stats.len as u64,
-            distinct_paths: self.per_path.len(),
-            paths_k_size: IncrementalKPathIndex::paths_k_size(self),
-            approx_bytes: tree_stats.approx_key_bytes as u64,
-        }
-    }
-}
-
 impl StructuralAudit for IncrementalKPathIndex {
-    /// Recomputes the counting index's derived state from the entry tree and
+    /// Recomputes the table's derived state from the stored entries and
     /// compares it with the maintained copies:
     ///
-    /// * `entry-decodable` / `walk-count-encoding` — every stored key is a
-    ///   well-formed `⟨p, a, b⟩` entry with an 8-byte count value;
+    /// * `entry-decodable` — every stored key is a well-formed `⟨p, a, b⟩`
+    ///   entry;
     /// * `walk-count-positive` — no entry survives at a zero walk count (the
-    ///   delta rules must remove a pair exactly when its last walk dies);
+    ///   counting rule must remove a pair exactly when its last walk dies);
     /// * `counts-consistent` — the maintained per-path cardinalities equal a
     ///   recount of the stored entries, in `(length, path)` order;
     /// * `pair-refs-consistent` / `linked-pairs` / `paths-k-size` — the
@@ -969,17 +675,14 @@ impl StructuralAudit for IncrementalKPathIndex {
         let mut per_path: Vec<(Vec<SignedLabel>, u64)> = Vec::new();
         let mut refs: HashMap<u64, u32> = HashMap::new();
         let mut undecodable = 0u64;
-        let mut bad_value = 0u64;
         let mut zero_count = 0u64;
         let mut first_zero = String::new();
-        for (key, value) in self.tree.iter() {
+        for (key, &count) in &self.counts {
             let Some((path, a, b)) = decode_entry(key) else {
                 undecodable += 1;
                 continue;
             };
-            if value.len() != 8 {
-                bad_value += 1;
-            } else if decode_count(value) == 0 {
+            if count == 0 {
                 zero_count += 1;
                 if first_zero.is_empty() {
                     first_zero = format!("path {path:?} pair ({a:?}, {b:?})");
@@ -991,13 +694,10 @@ impl StructuralAudit for IncrementalKPathIndex {
             }
             *refs.entry(pack_pair(a, b)).or_insert(0) += 1;
         }
-        report.check("entry-decodable", "tree", undecodable == 0, || {
+        report.check("entry-decodable", "table", undecodable == 0, || {
             format!("{undecodable} stored key(s) are not well-formed index entries")
         });
-        report.check("walk-count-encoding", "tree", bad_value == 0, || {
-            format!("{bad_value} entry value(s) are not 8-byte walk counts")
-        });
-        report.check("walk-count-positive", "tree", zero_count == 0, || {
+        report.check("walk-count-positive", "table", zero_count == 0, || {
             format!("{zero_count} entry(ies) stored with a zero walk count, first at {first_zero}")
         });
         report.check(
@@ -1055,80 +755,33 @@ impl StructuralAudit for IncrementalKPathIndex {
     }
 }
 
-#[inline]
-fn is_excluded(
-    excluded: Option<(NodeId, LabelId, NodeId)>,
-    from: NodeId,
-    sl: SignedLabel,
-    to: NodeId,
-) -> bool {
-    let Some((src, label, dst)) = excluded else {
-        return false;
-    };
-    if sl.label != label {
-        return false;
-    }
-    if sl.is_backward() {
-        from == dst && to == src
-    } else {
-        from == src && to == dst
-    }
-}
-
-#[inline]
-fn encode_count(count: u64) -> Vec<u8> {
-    count.to_le_bytes().to_vec()
-}
-
-#[inline]
-fn decode_count(value: &[u8]) -> u64 {
-    let mut bytes = [0u8; 8];
-    bytes.copy_from_slice(value);
-    u64::from_le_bytes(bytes)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::KPathIndex;
+    use crate::naive_path_eval;
     use pathix_datagen::paper_example_graph;
-    use std::collections::BTreeSet;
+    use pathix_graph::GraphBuilder;
 
-    type Edge = (NodeId, LabelId, NodeId);
-
-    /// Reference oracle: distinct pairs of `path` over an explicit edge set.
-    fn oracle_pairs(edges: &BTreeSet<Edge>, path: &[SignedLabel]) -> Vec<(NodeId, NodeId)> {
-        let step = |node: NodeId, sl: SignedLabel| -> Vec<NodeId> {
-            edges
-                .iter()
-                .filter_map(|&(s, l, d)| {
-                    if l != sl.label {
-                        return None;
-                    }
-                    if sl.is_backward() {
-                        (d == node).then_some(s)
-                    } else {
-                        (s == node).then_some(d)
-                    }
-                })
-                .collect()
-        };
-        let nodes: BTreeSet<NodeId> = edges.iter().flat_map(|&(s, _, d)| [s, d]).collect();
-        let mut pairs: BTreeSet<(NodeId, NodeId)> = BTreeSet::new();
-        for &start in &nodes {
-            let mut frontier = vec![start];
-            for &sl in path {
-                let mut next = Vec::new();
-                for node in frontier {
-                    next.extend(step(node, sl));
-                }
-                next.sort_unstable();
-                next.dedup();
-                frontier = next;
-            }
-            pairs.extend(frontier.into_iter().map(|end| (start, end)));
+    /// A graph with nodes `n0..` and labels `l0..` interned and no edges.
+    fn vocab_graph(nodes: u32, labels: u16) -> Graph {
+        let mut b = GraphBuilder::new();
+        for n in 0..nodes {
+            b.add_node(&format!("n{n}"));
         }
-        pairs.into_iter().collect()
+        for l in 0..labels {
+            b.add_label(&format!("l{l}"));
+        }
+        b.build()
+    }
+
+    /// Commits `ops` as one batch, returning its log.
+    fn step(index: &mut IncrementalKPathIndex, graph: &mut Graph, ops: &[EdgeOp]) -> EntryDeltas {
+        let mut log = EntryDeltas::new();
+        let (next, _) = index
+            .apply_batch(graph, graph.vocab_batch(), ops, &mut log)
+            .unwrap();
+        *graph = next;
+        log
     }
 
     /// All signed paths of length 1..=k over labels `0..labels`.
@@ -1158,40 +811,41 @@ mod tests {
         result
     }
 
-    fn assert_matches_oracle(index: &IncrementalKPathIndex, edges: &BTreeSet<Edge>, labels: u16) {
-        for path in all_paths(labels, index.k()) {
-            let expected = oracle_pairs(edges, &path);
-            let actual = index.scan_path(&path);
-            assert_eq!(actual, expected, "pair set mismatch for path {path:?}");
+    /// The table equals a bulk rebuild over `graph` — every key and walk
+    /// count, the per-path cardinalities and `|paths_k(G)|` — and every
+    /// path's pairs equal the independent [`naive_path_eval`] oracle.
+    fn assert_matches_rebuild(index: &IncrementalKPathIndex, graph: &Graph, context: &str) {
+        let bulk = IncrementalKPathIndex::bulk_from_graph(graph, index.k());
+        assert!(
+            index.entries().eq(bulk.entries()),
+            "walk counts diverge from a rebuild: {context}"
+        );
+        assert_eq!(index.per_path_counts(), bulk.per_path_counts(), "{context}");
+        assert_eq!(index.paths_k_size(), bulk.paths_k_size(), "{context}");
+        for path in all_paths(graph.label_count() as u16, index.k()) {
+            assert_eq!(
+                index.scan_path(&path),
+                naive_path_eval(graph, &path),
+                "pair set mismatch for path {path:?}: {context}"
+            );
         }
+        let mut report = AuditReport::new();
+        report.run("table", index);
+        report.assert_clean(context);
     }
 
-    #[test]
-    fn from_graph_matches_bulk_built_index() {
-        let g = paper_example_graph();
-        for k in 1..=3 {
-            let bulk = KPathIndex::build(&g, k);
-            let incremental = IncrementalKPathIndex::from_graph(&g, k);
-            assert_eq!(incremental.entry_count(), bulk.stats().entries);
-            assert_eq!(incremental.distinct_paths(), bulk.stats().distinct_paths);
-            for (path, count) in bulk.per_path_counts() {
-                let expected: Vec<_> = bulk.scan_path(path).collect();
-                assert_eq!(incremental.scan_path(path), expected, "path {path:?}");
-                let incr_count = incremental
-                    .per_path_counts()
-                    .iter()
-                    .find(|(p, _)| p == path)
-                    .map(|(_, c)| *c);
-                assert_eq!(incr_count, Some(*count));
-            }
-        }
+    fn edges_of(graph: &Graph) -> Vec<EdgeOp> {
+        graph
+            .labels()
+            .flat_map(|l| graph.edges(l).map(move |(s, d)| EdgeOp::insert(s, l, d)))
+            .collect()
     }
 
     #[test]
     fn insertions_match_rebuild_after_every_step() {
-        let knows = LabelId(0);
-        let likes = LabelId(1);
-        let script: Vec<Edge> = vec![
+        let mut graph = vocab_graph(4, 2);
+        let (knows, likes) = (LabelId(0), LabelId(1));
+        let script = [
             (NodeId(0), knows, NodeId(1)),
             (NodeId(1), knows, NodeId(2)),
             (NodeId(2), likes, NodeId(0)),
@@ -1200,114 +854,149 @@ mod tests {
             (NodeId(2), knows, NodeId(2)),
             (NodeId(1), likes, NodeId(3)),
         ];
-        let mut index = IncrementalKPathIndex::new(3);
-        let mut edges = BTreeSet::new();
-        for edge in script {
-            assert!(index.insert_edge(edge.0, edge.1, edge.2));
-            edges.insert(edge);
-            assert_matches_oracle(&index, &edges, 2);
+        let mut index = IncrementalKPathIndex::bulk_from_graph(&graph, 3);
+        for (s, l, d) in script {
+            step(&mut index, &mut graph, &[EdgeOp::insert(s, l, d)]);
+            assert_matches_rebuild(&index, &graph, &format!("after inserting {s:?}"));
         }
     }
 
     #[test]
     fn deletions_match_rebuild_after_every_step() {
-        let g = paper_example_graph();
-        let mut index = IncrementalKPathIndex::from_graph(&g, 2);
-        let mut edges: BTreeSet<Edge> = g
-            .labels()
-            .flat_map(|l| g.edges(l).map(move |(s, d)| (s, l, d)))
-            .collect();
-        let labels = g.label_count() as u16;
-        let script: Vec<Edge> = edges.iter().copied().step_by(3).collect();
-        for edge in script {
-            assert!(index.delete_edge(edge.0, edge.1, edge.2));
-            edges.remove(&edge);
-            assert_matches_oracle(&index, &edges, labels);
+        let mut graph = paper_example_graph();
+        let mut index = IncrementalKPathIndex::bulk_from_graph(&graph, 2);
+        for op in edges_of(&graph).into_iter().step_by(3) {
+            step(
+                &mut index,
+                &mut graph,
+                &[EdgeOp {
+                    insert: false,
+                    ..op
+                }],
+            );
+            assert_matches_rebuild(&index, &graph, &format!("after deleting {op:?}"));
         }
     }
 
     #[test]
     fn deleting_everything_empties_the_index() {
-        let g = paper_example_graph();
-        let mut index = IncrementalKPathIndex::from_graph(&g, 3);
-        for label in g.labels() {
-            for (src, dst) in g.edges(label) {
-                assert!(index.delete_edge(src, label, dst));
-            }
-        }
+        let mut graph = paper_example_graph();
+        let mut index = IncrementalKPathIndex::bulk_from_graph(&graph, 3);
+        let deletes: Vec<EdgeOp> = edges_of(&graph)
+            .into_iter()
+            .map(|op| EdgeOp {
+                insert: false,
+                ..op
+            })
+            .collect();
+        let log = step(&mut index, &mut graph, &deletes);
         assert_eq!(index.entry_count(), 0);
         assert_eq!(index.distinct_paths(), 0);
-        assert_eq!(index.edge_count(), 0);
+        assert_eq!(index.paths_k_size(), graph.node_count() as u64);
+        assert_eq!(graph.edge_count(), 0);
+        assert!(log.counts().iter().all(|(_, c)| *c == 0));
     }
 
     #[test]
     fn insert_then_delete_restores_previous_state() {
-        let g = paper_example_graph();
-        let mut index = IncrementalKPathIndex::from_graph(&g, 2);
-        let before_entries = index.entry_count();
-        let before_counts = index.per_path_counts().to_vec();
-        let knows = g.label_id("knows").unwrap();
-        let sue = g.node_id("sue").unwrap();
-        let tim = g.node_id("tim").unwrap();
-        assert!(!g.has_edge(sue, knows, tim));
-        assert!(index.insert_edge(sue, knows, tim));
-        assert_ne!(index.entry_count(), before_entries);
-        assert!(index.delete_edge(sue, knows, tim));
-        assert_eq!(index.entry_count(), before_entries);
-        assert_eq!(index.per_path_counts(), &before_counts[..]);
+        let mut graph = paper_example_graph();
+        let mut index = IncrementalKPathIndex::bulk_from_graph(&graph, 2);
+        let before = index.clone();
+        let knows = graph.label_id("knows").unwrap();
+        let sue = graph.node_id("sue").unwrap();
+        let tim = graph.node_id("tim").unwrap();
+        assert!(!graph.has_edge(sue, knows, tim));
+        step(&mut index, &mut graph, &[EdgeOp::insert(sue, knows, tim)]);
+        assert_ne!(index.entry_count(), before.entry_count());
+        step(&mut index, &mut graph, &[EdgeOp::delete(sue, knows, tim)]);
+        assert!(index.entries().eq(before.entries()));
+        assert_eq!(index.per_path_counts(), before.per_path_counts());
     }
 
     #[test]
     fn duplicate_insert_and_absent_delete_are_noops() {
+        let mut graph = vocab_graph(7, 1);
         let knows = LabelId(0);
         let mut index = IncrementalKPathIndex::new(2);
-        assert!(index.insert_edge(NodeId(0), knows, NodeId(1)));
+        step(
+            &mut index,
+            &mut graph,
+            &[EdgeOp::insert(NodeId(0), knows, NodeId(1))],
+        );
         let entries = index.entry_count();
-        assert!(!index.insert_edge(NodeId(0), knows, NodeId(1)));
+        let log = step(
+            &mut index,
+            &mut graph,
+            &[
+                EdgeOp::insert(NodeId(0), knows, NodeId(1)),
+                EdgeOp::delete(NodeId(5), knows, NodeId(6)),
+            ],
+        );
+        assert!(log.is_empty());
         assert_eq!(index.entry_count(), entries);
-        assert!(!index.delete_edge(NodeId(5), knows, NodeId(6)));
-        assert_eq!(index.entry_count(), entries);
-        assert_eq!(index.updates_applied(), (1, 0));
     }
 
     #[test]
     fn pair_survives_while_an_alternative_walk_exists() {
         // Two length-2 walks from 0 to 3: via 1 and via 2. Deleting one leg
         // must keep (0, 3) in the k=2 relation; deleting both removes it.
+        let mut graph = vocab_graph(4, 1);
         let l = LabelId(0);
         let mut index = IncrementalKPathIndex::new(2);
-        index.insert_edge(NodeId(0), l, NodeId(1));
-        index.insert_edge(NodeId(1), l, NodeId(3));
-        index.insert_edge(NodeId(0), l, NodeId(2));
-        index.insert_edge(NodeId(2), l, NodeId(3));
+        step(
+            &mut index,
+            &mut graph,
+            &[
+                EdgeOp::insert(NodeId(0), l, NodeId(1)),
+                EdgeOp::insert(NodeId(1), l, NodeId(3)),
+                EdgeOp::insert(NodeId(0), l, NodeId(2)),
+                EdgeOp::insert(NodeId(2), l, NodeId(3)),
+            ],
+        );
         let ll = [SignedLabel::forward(l), SignedLabel::forward(l)];
         assert_eq!(index.walk_count(&ll, NodeId(0), NodeId(3)), 2);
-        index.delete_edge(NodeId(1), l, NodeId(3));
+        step(
+            &mut index,
+            &mut graph,
+            &[EdgeOp::delete(NodeId(1), l, NodeId(3))],
+        );
         assert!(index.contains(&ll, NodeId(0), NodeId(3)));
         assert_eq!(index.walk_count(&ll, NodeId(0), NodeId(3)), 1);
-        index.delete_edge(NodeId(2), l, NodeId(3));
+        step(
+            &mut index,
+            &mut graph,
+            &[EdgeOp::delete(NodeId(2), l, NodeId(3))],
+        );
         assert!(!index.contains(&ll, NodeId(0), NodeId(3)));
     }
 
     #[test]
     fn self_loops_are_counted_once_per_walk() {
+        let mut graph = vocab_graph(8, 1);
         let l = LabelId(0);
         let mut index = IncrementalKPathIndex::new(3);
-        index.insert_edge(NodeId(7), l, NodeId(7));
-        let edges: BTreeSet<Edge> = [(NodeId(7), l, NodeId(7))].into_iter().collect();
-        assert_matches_oracle(&index, &edges, 1);
+        step(
+            &mut index,
+            &mut graph,
+            &[EdgeOp::insert(NodeId(7), l, NodeId(7))],
+        );
+        assert_matches_rebuild(&index, &graph, "one self-loop");
         // One loop edge yields exactly one walk of each length n: the loop
         // traversed n times (forwards or backwards per step).
         let p = [SignedLabel::forward(l), SignedLabel::backward(l)];
         assert_eq!(index.walk_count(&p, NodeId(7), NodeId(7)), 1);
-        index.delete_edge(NodeId(7), l, NodeId(7));
+        step(
+            &mut index,
+            &mut graph,
+            &[EdgeOp::delete(NodeId(7), l, NodeId(7))],
+        );
         assert_eq!(index.entry_count(), 0);
     }
 
     #[test]
     fn scan_output_is_sorted_by_source_then_target() {
         let g = paper_example_graph();
-        let index = IncrementalKPathIndex::from_graph(&g, 2);
+        let index = IncrementalKPathIndex::bulk_from_graph(&g, 2);
         let knows = SignedLabel::forward(g.label_id("knows").unwrap());
         let pairs = index.scan_path(&[knows, knows]);
         assert!(!pairs.is_empty());
@@ -1317,65 +1006,110 @@ mod tests {
     #[test]
     fn bulk_build_matches_replayed_insertions() {
         let g = paper_example_graph();
+        let empty = g.commit_batch(
+            g.vocab_batch(),
+            &edges_of(&g)
+                .into_iter()
+                .map(|op| EdgeOp {
+                    insert: false,
+                    ..op
+                })
+                .collect::<Vec<_>>(),
+        );
         for k in 1..=3 {
-            let replayed = IncrementalKPathIndex::from_graph(&g, k);
-            let bulk = IncrementalKPathIndex::bulk_from_graph(&g, k);
-            assert_eq!(bulk.entry_count(), replayed.entry_count());
-            assert_eq!(bulk.per_path_counts(), replayed.per_path_counts());
-            assert_eq!(bulk.paths_k_size(), replayed.paths_k_size());
-            assert_eq!(bulk.edge_count(), replayed.edge_count());
-            assert_eq!(bulk.updates_applied(), (0, 0));
-            for (path, _) in replayed.per_path_counts() {
-                assert_eq!(bulk.scan_path(path), replayed.scan_path(path));
-                for (a, b) in replayed.scan_path(path) {
-                    assert_eq!(
-                        bulk.walk_count(path, a, b),
-                        replayed.walk_count(path, a, b),
-                        "walk counts diverge for {path:?} ({a:?}, {b:?})"
-                    );
-                }
-            }
+            let mut graph = empty.clone();
+            let mut replayed = IncrementalKPathIndex::bulk_from_graph(&graph, k);
+            assert_eq!(replayed.entry_count(), 0);
+            step(&mut replayed, &mut graph, &edges_of(&g));
+            assert_matches_rebuild(&replayed, &graph, &format!("k = {k}"));
         }
     }
 
     #[test]
     fn bulk_build_stays_consistent_under_further_updates() {
-        let g = paper_example_graph();
-        let mut index = IncrementalKPathIndex::bulk_from_graph(&g, 2);
-        let mut edges: BTreeSet<Edge> = g
-            .labels()
-            .flat_map(|l| g.edges(l).map(move |(s, d)| (s, l, d)))
+        let mut graph = paper_example_graph();
+        let mut index = IncrementalKPathIndex::bulk_from_graph(&graph, 2);
+        let removed: Vec<EdgeOp> = edges_of(&graph)
+            .into_iter()
+            .step_by(2)
+            .map(|op| EdgeOp {
+                insert: false,
+                ..op
+            })
             .collect();
-        let labels = g.label_count() as u16;
-        let removed: Vec<Edge> = edges.iter().copied().step_by(2).collect();
-        for edge in removed {
-            assert!(index.delete_edge(edge.0, edge.1, edge.2));
-            edges.remove(&edge);
-        }
-        assert_matches_oracle(&index, &edges, labels);
+        step(&mut index, &mut graph, &removed);
+        assert_matches_rebuild(&index, &graph, "after a delete batch");
     }
 
+    /// The batch shapes the net rule must get right, for k = 1..3: an insert
+    /// and a delete of the same edge in one batch, a re-insert of an edge an
+    /// earlier batch deleted, self-loops, an edge whose inverse path is the
+    /// canonical one, and vocabulary growth.
     #[test]
-    fn freeze_matches_a_full_bulk_rebuild() {
-        let g = paper_example_graph();
-        let mut index = IncrementalKPathIndex::bulk_from_graph(&g, 2);
-        let knows = g.label_id("knows").unwrap();
-        let sue = g.node_id("sue").unwrap();
-        let tim = g.node_id("tim").unwrap();
-        assert!(index.insert_edge(sue, knows, tim));
-
-        let frozen = index.freeze();
-        let mut updated = g.clone();
-        assert!(updated.insert_edge(sue, knows, tim));
-        let rebuilt = KPathIndex::build(&updated, 2);
-        assert_eq!(frozen.stats().entries, rebuilt.stats().entries);
-        assert_eq!(frozen.per_path_counts(), rebuilt.per_path_counts());
-        assert_eq!(frozen.paths_k_size(), rebuilt.paths_k_size());
-        assert_eq!(frozen.node_count(), rebuilt.node_count());
-        for (path, _) in rebuilt.per_path_counts() {
-            let expected: Vec<_> = rebuilt.scan_path(path).collect();
-            let actual: Vec<_> = frozen.scan_path(path).collect();
-            assert_eq!(actual, expected, "path {path:?}");
+    fn mixed_batches_match_a_bulk_rebuild_for_every_k() {
+        for k in 1..=3 {
+            let mut graph = paper_example_graph();
+            let mut index = IncrementalKPathIndex::bulk_from_graph(&graph, k);
+            let knows = graph.label_id("knows").unwrap();
+            let works = graph.label_id("worksFor").unwrap();
+            let sue = graph.node_id("sue").unwrap();
+            let tim = graph.node_id("tim").unwrap();
+            let kim = graph.node_id("kim").unwrap();
+            let existing = edges_of(&graph)[0];
+            let removed = EdgeOp {
+                insert: false,
+                ..existing
+            };
+            // Insert-and-delete of a fresh edge cancels; deleting an
+            // existing edge, a self-loop and a backwards-only edge take
+            // effect.
+            step(
+                &mut index,
+                &mut graph,
+                &[
+                    EdgeOp::insert(sue, knows, tim),
+                    removed,
+                    EdgeOp::delete(sue, knows, tim),
+                    EdgeOp::insert(kim, knows, kim),
+                    EdgeOp::insert(tim, works, sue),
+                ],
+            );
+            assert!(!graph.has_edge(sue, knows, tim));
+            assert_matches_rebuild(&index, &graph, &format!("k = {k}, batch 1"));
+            // Re-insert what the last batch deleted, delete-then-reinsert an
+            // existing edge (a no-op) and remove the self-loop again.
+            step(
+                &mut index,
+                &mut graph,
+                &[
+                    existing,
+                    EdgeOp::delete(tim, works, sue),
+                    EdgeOp::insert(tim, works, sue),
+                    EdgeOp::delete(kim, knows, kim),
+                ],
+            );
+            assert!(graph.has_edge(tim, works, sue));
+            assert_matches_rebuild(&index, &graph, &format!("k = {k}, batch 2"));
+            // Grow the vocabulary: a new label and new nodes in one batch.
+            let mut vocab = graph.vocab_batch();
+            let (ann, bob) = (vocab.intern_node("ann"), vocab.intern_node("bob"));
+            let mentors = vocab.intern_label("mentors");
+            let mut log = EntryDeltas::new();
+            let (next, changes) = index
+                .apply_batch(
+                    &graph,
+                    vocab,
+                    &[
+                        EdgeOp::insert(ann, mentors, bob),
+                        EdgeOp::insert(bob, mentors, sue),
+                        EdgeOp::insert(sue, knows, ann),
+                    ],
+                    &mut log,
+                )
+                .unwrap();
+            assert_eq!(changes.len(), 3);
+            graph = next;
+            assert_matches_rebuild(&index, &graph, &format!("k = {k}, batch 3"));
         }
     }
 
@@ -1385,161 +1119,137 @@ mod tests {
         for k in 1..=3 {
             let expected = crate::paths_k_cardinality(&g, &crate::enumerate_paths(&g, k));
             assert_eq!(
-                IncrementalKPathIndex::from_graph(&g, k).paths_k_size(),
+                IncrementalKPathIndex::bulk_from_graph(&g, k).paths_k_size(),
                 expected,
                 "k = {k}"
             );
-            assert_eq!(
-                IncrementalKPathIndex::bulk_from_graph(&g, k).paths_k_size(),
-                expected,
-                "bulk, k = {k}"
-            );
         }
     }
 
     #[test]
-    fn the_incremental_index_serves_as_a_backend() {
-        let g = paper_example_graph();
-        let index = IncrementalKPathIndex::bulk_from_graph(&g, 2);
-        let backend: &dyn PathIndexBackend = &index;
-        assert_eq!(backend.backend_name(), "incremental");
-        assert_eq!(backend.k(), 2);
-        assert_eq!(backend.node_count(), g.node_count());
-        let knows = SignedLabel::forward(g.label_id("knows").unwrap());
-        let via_trait: Vec<_> = backend
-            .scan_path(&[knows])
-            .unwrap()
-            .collect::<BackendResult<_>>()
-            .unwrap();
-        assert_eq!(via_trait, index.scan_path(&[knows]));
-        let (a, b) = via_trait[0];
-        assert!(backend.contains(&[knows], a, b).unwrap());
-        assert_eq!(
-            backend.scan_path_from(&[knows], a).unwrap(),
-            via_trait
-                .iter()
-                .filter(|&&(s, _)| s == a)
-                .map(|&(_, t)| t)
-                .collect::<Vec<_>>()
-        );
-        assert_eq!(
-            backend.path_cardinality(&[knows]),
-            Some(via_trait.len() as u64)
-        );
-        assert!(backend.scan_path(&[knows, knows, knows]).is_err());
-        let stats = backend.stats();
-        assert_eq!(stats.entries as usize, index.entry_count());
-    }
-
-    #[test]
-    fn apply_logged_records_key_transitions() {
+    fn apply_batch_records_key_transitions() {
+        let mut graph = vocab_graph(2, 1);
         let knows = LabelId(0);
         let mut index = IncrementalKPathIndex::new(2);
-        let mut log = EntryDeltas::new();
 
         // A fresh edge creates entries: every logged op is an Added key that
-        // the index now contains.
-        assert!(index.apply_logged(
-            GraphUpdate::InsertEdge {
-                src: NodeId(0),
-                label: knows,
-                dst: NodeId(1),
-            },
-            &mut log,
-        ));
+        // the index now contains, with one absolute count per key.
+        let log = step(
+            &mut index,
+            &mut graph,
+            &[EdgeOp::insert(NodeId(0), knows, NodeId(1))],
+        );
         assert_eq!(log.len(), index.entry_count());
+        assert_eq!(log.counts().len(), index.entry_count());
         for (key, change) in log.ops() {
             assert_eq!(*change, EntryChange::Added);
-            let (path, a, b) = crate::pathkey::decode_entry(key).unwrap();
+            let (path, a, b) = decode_entry(key).unwrap();
             assert!(index.contains(&path, a, b));
         }
 
-        // Deleting the edge reverses every transition; replaying the log in
-        // order over a set reproduces the index's key set at each point.
-        log.clear();
-        assert!(index.apply_logged(
-            GraphUpdate::DeleteEdge {
-                src: NodeId(0),
-                label: knows,
-                dst: NodeId(1),
-            },
-            &mut log,
-        ));
+        // Deleting the edge reverses every transition.
+        let log = step(
+            &mut index,
+            &mut graph,
+            &[EdgeOp::delete(NodeId(0), knows, NodeId(1))],
+        );
         assert!(log.ops().iter().all(|(_, c)| *c == EntryChange::Removed));
         assert_eq!(index.entry_count(), 0);
 
-        // A no-op update logs nothing.
-        log.clear();
-        assert!(!index.apply_logged(
-            GraphUpdate::DeleteEdge {
-                src: NodeId(0),
-                label: knows,
-                dst: NodeId(1),
-            },
-            &mut log,
-        ));
+        // A no-op batch logs nothing.
+        let log = step(
+            &mut index,
+            &mut graph,
+            &[EdgeOp::delete(NodeId(0), knows, NodeId(1))],
+        );
         assert!(log.is_empty());
     }
 
     #[test]
     fn replaying_the_log_reproduces_the_key_set() {
         use std::collections::BTreeSet;
-        let g = paper_example_graph();
-        let mut index = IncrementalKPathIndex::bulk_from_graph(&g, 2);
-        let mut shadow: BTreeSet<Vec<u8>> = index.tree.iter().map(|(k, _)| k.to_vec()).collect();
+        let mut graph = paper_example_graph();
+        let mut index = IncrementalKPathIndex::bulk_from_graph(&graph, 2);
+        let mut shadow: BTreeSet<Vec<u8>> = index.entries().map(|(k, _)| k.to_vec()).collect();
 
-        let mut rng_edges: Vec<Edge> = g
-            .labels()
-            .flat_map(|l| g.edges(l).map(move |(s, d)| (s, l, d)))
+        let mut edges = edges_of(&graph);
+        edges.truncate(6);
+        let deletes: Vec<EdgeOp> = edges
+            .iter()
+            .map(|&op| EdgeOp {
+                insert: false,
+                ..op
+            })
             .collect();
-        rng_edges.truncate(6);
-        let mut log = EntryDeltas::new();
-        for &(s, l, d) in &rng_edges {
-            index.apply_logged(
-                GraphUpdate::DeleteEdge {
-                    src: s,
-                    label: l,
-                    dst: d,
-                },
-                &mut log,
-            );
-        }
-        for &(s, l, d) in &rng_edges {
-            index.apply_logged(
-                GraphUpdate::InsertEdge {
-                    src: s,
-                    label: l,
-                    dst: d,
-                },
-                &mut log,
-            );
-        }
-        for (key, change) in log.ops() {
-            match change {
-                EntryChange::Added => assert!(shadow.insert(key.clone()), "double add"),
-                EntryChange::Removed => assert!(shadow.remove(key), "remove of absent key"),
+        for batch in [deletes, edges] {
+            let log = step(&mut index, &mut graph, &batch);
+            for (key, change) in log.ops() {
+                match change {
+                    EntryChange::Added => assert!(shadow.insert(key.clone()), "double add"),
+                    EntryChange::Removed => assert!(shadow.remove(key), "remove of absent key"),
+                }
             }
         }
-        let live: BTreeSet<Vec<u8>> = index.tree.iter().map(|(k, _)| k.to_vec()).collect();
+        let live: BTreeSet<Vec<u8>> = index.entries().map(|(k, _)| k.to_vec()).collect();
         assert_eq!(shadow, live, "log replay diverged from the index");
     }
 
     #[test]
-    fn apply_dispatches_updates() {
-        let l = LabelId(0);
-        let mut index = IncrementalKPathIndex::new(1);
-        assert!(index.apply(GraphUpdate::InsertEdge {
-            src: NodeId(0),
-            label: l,
-            dst: NodeId(1),
-        }));
-        assert!(index.has_edge(NodeId(0), l, NodeId(1)));
-        assert!(index.apply(GraphUpdate::DeleteEdge {
-            src: NodeId(0),
-            label: l,
-            dst: NodeId(1),
-        }));
-        assert!(!index.has_edge(NodeId(0), l, NodeId(1)));
+    fn a_table_that_does_not_describe_the_graph_is_rejected() {
+        // A table seeded from the wrong graph would drive counts negative on
+        // a delete; the batch fails and leaves the table untouched.
+        let mut graph = paper_example_graph();
+        let mut index = IncrementalKPathIndex::new(2);
+        let op = edges_of(&graph)[0];
+        let mut log = EntryDeltas::new();
+        let result = index.apply_batch(
+            &graph,
+            graph.vocab_batch(),
+            &[EdgeOp {
+                insert: false,
+                ..op
+            }],
+            &mut log,
+        );
+        assert!(result.is_err());
+        assert_eq!(index.entry_count(), 0);
+        assert!(log.is_empty());
+        // The same batch on a faithful table succeeds.
+        let mut index = IncrementalKPathIndex::bulk_from_graph(&graph, 2);
+        step(
+            &mut index,
+            &mut graph,
+            &[EdgeOp {
+                insert: false,
+                ..op
+            }],
+        );
+        assert_matches_rebuild(&index, &graph, "after the delete");
+    }
+
+    #[test]
+    fn persisted_entries_must_belong_to_the_graph() {
+        let g = paper_example_graph();
+        let clean = IncrementalKPathIndex::bulk_from_graph(&g, 2);
+        let entries = || clean.entries().map(|(k, c)| (k.to_vec(), c));
+        let reseeded = IncrementalKPathIndex::from_persisted_entries(&g, 2, entries()).unwrap();
+        assert!(reseeded.entries().eq(clean.entries()));
+        assert_eq!(reseeded.per_path_counts(), clean.per_path_counts());
+        assert_eq!(reseeded.paths_k_size(), clean.paths_k_size());
+
+        let knows = SignedLabel::forward(g.label_id("knows").unwrap());
+        let foreign = (encode_entry(&[knows], NodeId(9_999), NodeId(0)), 3);
+        let zero = (encode_entry(&[knows], NodeId(0), NodeId(1)), 0);
+        let malformed = (vec![1u8, 2, 3], 3);
+        for bad in [foreign, zero, malformed] {
+            let mut all: Vec<(Vec<u8>, u64)> = entries().collect();
+            all.push(bad);
+            all.sort();
+            assert!(IncrementalKPathIndex::from_persisted_entries(&g, 2, all).is_err());
+        }
+        let mut unordered: Vec<(Vec<u8>, u64)> = entries().collect();
+        unordered.reverse();
+        assert!(IncrementalKPathIndex::from_persisted_entries(&g, 2, unordered).is_err());
     }
 
     #[test]
@@ -1562,48 +1272,34 @@ mod tests {
         use rand::{Rng, SeedableRng};
 
         /// A random update over ≤ 5 nodes and 2 labels; deletions pick
-        /// arbitrary edges and are skipped when absent, so scripts freely mix
-        /// effective and no-op updates.
-        fn random_update(rng: &mut StdRng) -> GraphUpdate {
+        /// arbitrary edges, so batches freely mix effective and no-op
+        /// updates, and repeat keys.
+        fn random_op(rng: &mut StdRng) -> EdgeOp {
             let src = NodeId(rng.gen_range(0..5u32));
             let label = LabelId(rng.gen_range(0..2u32) as u16);
             let dst = NodeId(rng.gen_range(0..5u32));
             if rng.gen_bool(0.5) {
-                GraphUpdate::InsertEdge { src, label, dst }
+                EdgeOp::insert(src, label, dst)
             } else {
-                GraphUpdate::DeleteEdge { src, label, dst }
+                EdgeOp::delete(src, label, dst)
             }
         }
 
-        /// After any update script, every path's pair set equals a fresh
-        /// evaluation over the surviving edge set.
+        /// After any script of random batches, the table equals a rebuild
+        /// over the graph epoch and every path's pairs equal the oracle.
         #[test]
         fn random_update_scripts_match_oracle() {
             for case in 0..64u64 {
                 let mut rng = StdRng::seed_from_u64(0x0AC1E + case);
                 let k = rng.gen_range(1..=3usize);
+                let mut graph = vocab_graph(5, 2);
                 let mut index = IncrementalKPathIndex::new(k);
-                let mut edges: BTreeSet<Edge> = BTreeSet::new();
-                for _ in 0..rng.gen_range(1..40usize) {
-                    let update = random_update(&mut rng);
-                    let expected_change = match &update {
-                        GraphUpdate::InsertEdge { src, label, dst } => {
-                            edges.insert((*src, *label, *dst))
-                        }
-                        GraphUpdate::DeleteEdge { src, label, dst } => {
-                            edges.remove(&(*src, *label, *dst))
-                        }
-                        other => unreachable!("random_update yields id variants, got {other:?}"),
-                    };
-                    let changed = index.apply(update);
-                    assert_eq!(changed, expected_change, "case {case}");
-                }
-                for path in all_paths(2, k) {
-                    assert_eq!(
-                        index.scan_path(&path),
-                        oracle_pairs(&edges, &path),
-                        "case {case}"
-                    );
+                for batch in 0..rng.gen_range(1..12usize) {
+                    let ops: Vec<EdgeOp> = (0..rng.gen_range(1..8usize))
+                        .map(|_| random_op(&mut rng))
+                        .collect();
+                    step(&mut index, &mut graph, &ops);
+                    assert_matches_rebuild(&index, &graph, &format!("case {case}, batch {batch}"));
                 }
             }
         }
@@ -1614,9 +1310,13 @@ mod tests {
         fn walk_counts_are_converse_symmetric() {
             for case in 0..64u64 {
                 let mut rng = StdRng::seed_from_u64(0xC0A0E + case);
+                let mut graph = vocab_graph(5, 2);
                 let mut index = IncrementalKPathIndex::new(2);
-                for _ in 0..rng.gen_range(1..25usize) {
-                    index.apply(random_update(&mut rng));
+                let ops: Vec<EdgeOp> = (0..rng.gen_range(1..25usize))
+                    .map(|_| random_op(&mut rng))
+                    .collect();
+                for batch in ops.chunks(3) {
+                    step(&mut index, &mut graph, batch);
                 }
                 for path in all_paths(2, 2) {
                     let inv = pathix_rpq::ast::inverse_path(&path);
@@ -1641,15 +1341,15 @@ mod tests {
 
     #[test]
     fn audit_is_clean_on_a_maintained_index() {
-        let g = paper_example_graph();
-        let mut index = IncrementalKPathIndex::bulk_from_graph(&g, 2);
+        let mut graph = paper_example_graph();
+        let mut index = IncrementalKPathIndex::bulk_from_graph(&graph, 2);
         assert_eq!(violated(&index), Vec::<&str>::new(), "after bulk seed");
-        let knows = g.label_id("knows").unwrap();
-        let sue = g.node_id("sue").unwrap();
-        let tim = g.node_id("tim").unwrap();
-        assert!(index.insert_edge(sue, knows, tim));
+        let knows = graph.label_id("knows").unwrap();
+        let sue = graph.node_id("sue").unwrap();
+        let tim = graph.node_id("tim").unwrap();
+        step(&mut index, &mut graph, &[EdgeOp::insert(sue, knows, tim)]);
         assert_eq!(violated(&index), Vec::<&str>::new(), "after insert");
-        assert!(index.delete_edge(sue, knows, tim));
+        step(&mut index, &mut graph, &[EdgeOp::delete(sue, knows, tim)]);
         assert_eq!(violated(&index), Vec::<&str>::new(), "after delete");
     }
 
@@ -1658,16 +1358,16 @@ mod tests {
         let g = paper_example_graph();
         let clean = IncrementalKPathIndex::bulk_from_graph(&g, 2);
 
-        // A zero walk count left behind in the tree (the delta rules must
+        // A zero walk count left behind in the table (the counting rule must
         // delete the key instead).
         let mut corrupt = clean.clone();
         let key = corrupt
-            .tree
-            .iter()
+            .counts
+            .keys()
             .next()
-            .map(|(k, _)| k.to_vec())
+            .cloned()
             .expect("non-empty index");
-        corrupt.tree.insert(key, encode_count(0));
+        corrupt.counts.insert(key, 0);
         assert!(
             violated(&corrupt).contains(&"walk-count-positive"),
             "a zero-count entry must trip the auditor"

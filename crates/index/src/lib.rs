@@ -5,12 +5,20 @@
 //! (Section 3.2).
 //!
 //! The index materializes, for every label path `p` of length ≤ k over the
-//! signed alphabet `{ℓ, ℓ⁻}`, every node pair `(a, b) ∈ p(G)`, and stores the
-//! triples `⟨p, a, b⟩` as composite keys in a B+tree
-//! ([`pathix_storage::BPlusTree`]). A prefix scan over `⟨p⟩` therefore yields
-//! `p(G)` ordered by `(source, target)`; a prefix scan over `⟨p, a⟩` yields
+//! signed alphabet `{ℓ, ℓ⁻}`, every node pair `(a, b) ∈ p(G)`, keyed by the
+//! composite key `⟨p, a, b⟩` ([`pathkey`]). A scan over `⟨p⟩` therefore
+//! yields `p(G)` ordered by `(source, target)`; a scan over `⟨p, a⟩` yields
 //! the targets reachable from `a`; a point lookup over `⟨p, a, b⟩` answers
 //! membership — exactly the three lookup shapes of Example 3.1 in the paper.
+//! The in-memory representation is [`SharedKPathIndex`]: per-path chunked
+//! runs that live databases re-share across epochs. Every representation
+//! implements [`PathIndexBackend`]; the paged and compressed ones live in
+//! `pathix-pagestore`.
+//!
+//! Live updates go through one walk-count table,
+//! [`IncrementalKPathIndex`], which absorbs each batch's net change set with
+//! the counting rule and hands the resulting [`EntryDeltas`] to the
+//! backends.
 //!
 //! The histogram records (estimates of) `|p(G)| / |paths_k(G)|` for every
 //! indexed path and is what the `minSupport` / `minJoin` planners use to pick
@@ -18,11 +26,11 @@
 //!
 //! ```
 //! use pathix_datagen::paper_example_graph;
-//! use pathix_index::KPathIndex;
+//! use pathix_index::SharedKPathIndex;
 //! use pathix_graph::SignedLabel;
 //!
 //! let g = paper_example_graph();
-//! let index = KPathIndex::build(&g, 2);
+//! let index = SharedKPathIndex::build(&g, 2);
 //! let knows = SignedLabel::forward(g.label_id("knows").unwrap());
 //! let pairs: Vec<_> = index.scan_path(&[knows, knows]).collect();
 //! assert!(!pairs.is_empty());
@@ -33,8 +41,6 @@ pub mod enumerate;
 pub mod estimate;
 pub mod histogram;
 pub mod incremental;
-pub mod kpath;
-pub mod parallel;
 pub mod pathkey;
 pub mod runs;
 
@@ -49,6 +55,4 @@ pub use histogram::{EstimationMode, PathHistogram};
 pub use incremental::{
     enumerate_counted_paths, CountedRelation, GraphUpdate, IncrementalKPathIndex,
 };
-pub use kpath::{IndexStats, KPathIndex};
-pub use parallel::enumerate_paths_parallel;
 pub use runs::{RunPublishStats, SharedKPathIndex};

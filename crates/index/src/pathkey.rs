@@ -16,7 +16,62 @@
 //! shapes of Example 3.1.
 
 use pathix_graph::{NodeId, SignedLabel};
-use pathix_storage::KeyBuf;
+
+/// Incrementally builds a composite byte key from fixed-width big-endian
+/// fields. Big-endian encodings of unsigned integers preserve numeric order,
+/// so a key built from fixed-width fields sorts exactly like the tuple of its
+/// fields.
+struct KeyBuf {
+    bytes: Vec<u8>,
+}
+
+impl KeyBuf {
+    /// Creates a key buffer with pre-allocated capacity.
+    fn with_capacity(cap: usize) -> Self {
+        KeyBuf {
+            bytes: Vec::with_capacity(cap),
+        }
+    }
+
+    /// Appends a single byte.
+    fn push_u8(&mut self, v: u8) -> &mut Self {
+        self.bytes.push(v);
+        self
+    }
+
+    /// Appends a big-endian `u16`.
+    fn push_u16(&mut self, v: u16) -> &mut Self {
+        self.bytes.extend_from_slice(&v.to_be_bytes());
+        self
+    }
+
+    /// Appends a big-endian `u32`.
+    fn push_u32(&mut self, v: u32) -> &mut Self {
+        self.bytes.extend_from_slice(&v.to_be_bytes());
+        self
+    }
+
+    /// Consumes the buffer, returning the key bytes.
+    fn finish(self) -> Vec<u8> {
+        self.bytes
+    }
+}
+
+/// Computes the smallest byte string strictly greater than every string that
+/// starts with `prefix`, or `None` when no such string exists (the prefix is
+/// empty or consists solely of `0xFF` bytes). Turns a prefix scan into a
+/// half-open range scan `[prefix, successor)`.
+pub fn prefix_successor(prefix: &[u8]) -> Option<Vec<u8>> {
+    let mut out = prefix.to_vec();
+    while let Some(last) = out.last_mut() {
+        if *last < 0xFF {
+            *last += 1;
+            return Some(out);
+        }
+        out.pop();
+    }
+    None
+}
 
 /// Maximum supported label-path length (keys store the length in one byte).
 pub const MAX_PATH_LEN: usize = u8::MAX as usize;
@@ -153,6 +208,40 @@ mod tests {
         let long = encode_path_prefix(&[sl(1, false), sl(1, false)]);
         assert_ne!(short[0], long[0]);
         assert!(!long.starts_with(&short));
+    }
+
+    #[test]
+    fn keybuf_fields_are_order_preserving() {
+        let key = |a: u16, b: u32| {
+            let mut k = KeyBuf::with_capacity(6);
+            k.push_u16(a).push_u32(b);
+            k.finish()
+        };
+        assert!(key(1, 500) < key(2, 0));
+        assert!(key(1, 1) < key(1, 2));
+        assert!(key(0, u32::MAX) < key(1, 0));
+    }
+
+    #[test]
+    fn prefix_successor_simple() {
+        assert_eq!(prefix_successor(b"abc"), Some(b"abd".to_vec()));
+        assert_eq!(prefix_successor(&[1, 2, 0xFF]), Some(vec![1, 3]));
+        assert_eq!(prefix_successor(&[0xFF, 0xFF]), None);
+        assert_eq!(prefix_successor(b""), None);
+    }
+
+    #[test]
+    fn prefix_successor_bounds_all_extensions() {
+        let prefix = vec![9u8, 0xFF, 3];
+        let succ = prefix_successor(&prefix).unwrap();
+        // Any key starting with the prefix is < successor.
+        for ext in [vec![], vec![0u8], vec![0xFFu8; 4]] {
+            let mut key = prefix.clone();
+            key.extend_from_slice(&ext);
+            assert!(key.as_slice() < succ.as_slice());
+        }
+        // And the successor does not itself start with the prefix.
+        assert!(!succ.starts_with(&prefix));
     }
 
     #[test]

@@ -1,14 +1,13 @@
 //! The structurally-shared, read-optimized k-path index that live databases
 //! publish as their memory-backend snapshots.
 //!
-//! [`crate::KPathIndex`] is bulk-built and read-only; republishing it after a
-//! batch of updates means rebuilding a B+tree over the **whole** entry set —
-//! an O(index) "freeze" per publish that throws away the locality the paper's
-//! update rules guarantee (an update only touches the k-neighborhood of the
-//! changed edge). [`SharedKPathIndex`] keeps the same logical content — every
-//! `⟨p, a, b⟩` triple, served in `(source, target)` order per path — but
-//! stores each path relation as a sequence of bounded, immutable **chunks**
-//! held behind `Arc`s:
+//! Republishing a monolithic sorted index after a batch of updates would mean
+//! rebuilding it over the **whole** entry set — O(index) per publish, throwing
+//! away the locality the counting rule guarantees (an update only touches the
+//! k-neighborhood of the changed edge). [`SharedKPathIndex`] serves every
+//! `⟨p, a, b⟩` triple in `(source, target)` order per path, but stores each
+//! path relation as a sequence of bounded, immutable **chunks** held behind
+//! `Arc`s:
 //!
 //! ```text
 //! runs  : [ path₁ → [Arc<chunk>, Arc<chunk>, …],  path₂ → […], … ]
@@ -183,9 +182,9 @@ pub struct SharedKPathIndex {
 }
 
 impl SharedKPathIndex {
-    /// Builds the index over `graph` for locality parameter `k ≥ 1` — the
-    /// same enumeration [`crate::KPathIndex::build`] runs, chunked instead of
-    /// bulk-loaded into a B+tree.
+    /// Builds the index over `graph` for locality parameter `k ≥ 1` from the
+    /// level-wise path enumeration ([`crate::enumerate_paths`]), cut into
+    /// chunks.
     pub fn build(graph: &Graph, k: usize) -> Self {
         assert!(k >= 1, "the k-path index requires k ≥ 1");
         let relations = enumerate_paths(graph, k);
@@ -813,34 +812,187 @@ impl StructuralAudit for SharedKPathIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{EntryDeltas, GraphUpdate, IncrementalKPathIndex, KPathIndex};
-    use pathix_datagen::paper_example_graph;
-    use pathix_graph::LabelId;
+    use crate::{naive_path_eval, EntryDeltas, IncrementalKPathIndex};
+    use pathix_datagen::{paper_example_graph, social_network, SocialConfig};
+    use pathix_graph::{EdgeOp, GraphBuilder, LabelId};
 
-    fn delta_batch<'a>(
-        oracle: &'a IncrementalKPathIndex,
-        deltas: &'a EntryDeltas,
-        inserted: u64,
-        deleted: u64,
-    ) -> DeltaBatch<'a> {
-        DeltaBatch {
-            deltas,
-            per_path_counts: oracle.per_path_counts(),
-            paths_k_size: oracle.paths_k_size(),
-            node_count: oracle.node_count(),
-            inserted_edges: inserted,
-            deleted_edges: deleted,
-            seq: 1,
+    /// The writer side of a live database: a graph epoch, its walk-count
+    /// table, and the log and net change set of the last committed batch.
+    struct Writer {
+        graph: Graph,
+        table: IncrementalKPathIndex,
+        deltas: EntryDeltas,
+        changes: Vec<EdgeOp>,
+    }
+
+    impl Writer {
+        fn new(graph: Graph, k: usize) -> Self {
+            Writer {
+                table: IncrementalKPathIndex::bulk_from_graph(&graph, k),
+                graph,
+                deltas: EntryDeltas::new(),
+                changes: Vec::new(),
+            }
         }
+
+        /// An edgeless graph with `nodes` nodes and `labels` labels.
+        fn with_vocab(nodes: u32, labels: u16, k: usize) -> Self {
+            let mut b = GraphBuilder::new();
+            for n in 0..nodes {
+                b.add_node(&n.to_string());
+            }
+            for l in 0..labels {
+                b.add_label(&format!("l{l}"));
+            }
+            Writer::new(b.build(), k)
+        }
+
+        /// Commits `ops` as one batch.
+        fn commit(&mut self, ops: &[EdgeOp]) {
+            self.deltas.clear();
+            let (next, changes) = self
+                .table
+                .apply_batch(&self.graph, self.graph.vocab_batch(), ops, &mut self.deltas)
+                .unwrap();
+            self.graph = next;
+            self.changes = changes;
+        }
+
+        /// The delta batch of the last commit.
+        fn batch(&self) -> DeltaBatch<'_> {
+            self.table.delta_batch(&self.deltas, &self.changes, 1)
+        }
+    }
+
+    fn sl(g: &Graph, name: &str, backward: bool) -> SignedLabel {
+        let id = g.label_id(name).unwrap();
+        if backward {
+            SignedLabel::backward(id)
+        } else {
+            SignedLabel::forward(id)
+        }
+    }
+
+    #[test]
+    fn scan_path_matches_reference_for_all_indexed_paths() {
+        let g = paper_example_graph();
+        let index = SharedKPathIndex::build(&g, 3);
+        for (path, count) in index.per_path_counts() {
+            let expected = naive_path_eval(&g, path);
+            let scanned: Vec<_> = index.scan_path(path).collect();
+            assert_eq!(scanned, expected, "mismatch for {path:?}");
+            assert_eq!(*count as usize, expected.len());
+        }
+    }
+
+    #[test]
+    fn scan_is_sorted_by_source_then_target() {
+        let g = social_network(SocialConfig {
+            people: 150,
+            companies: 8,
+            ..Default::default()
+        });
+        let index = SharedKPathIndex::build(&g, 2);
+        let knows = sl(&g, "knows", false);
+        let pairs: Vec<_> = index.scan_path(&[knows, knows]).collect();
+        assert!(!pairs.is_empty());
+        assert!(pairs.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    #[test]
+    fn scan_path_from_returns_targets_only() {
+        let g = paper_example_graph();
+        let index = SharedKPathIndex::build(&g, 3);
+        let path = vec![sl(&g, "knows", false), sl(&g, "worksFor", false)];
+        for node in g.nodes() {
+            let expected: Vec<NodeId> = naive_path_eval(&g, &path)
+                .into_iter()
+                .filter(|&(a, _)| a == node)
+                .map(|(_, b)| b)
+                .collect();
+            assert_eq!(index.scan_path_from(&path, node), expected);
+        }
+    }
+
+    #[test]
+    fn contains_answers_membership() {
+        let g = paper_example_graph();
+        let index = SharedKPathIndex::build(&g, 2);
+        let sup = sl(&g, "supervisor", false);
+        let works_back = sl(&g, "worksFor", true);
+        let kim = g.node_id("kim").unwrap();
+        let sue = g.node_id("sue").unwrap();
+        let ada = g.node_id("ada").unwrap();
+        // supervisor ∘ worksFor⁻ = {(kim, sue)} by construction.
+        assert!(index.contains(&[sup, works_back], kim, sue));
+        assert!(!index.contains(&[sup, works_back], kim, ada));
+        assert!(!index.contains(&[sup, works_back], sue, kim));
+    }
+
+    #[test]
+    fn inverse_paths_are_converse_relations_in_the_index() {
+        let g = paper_example_graph();
+        let index = SharedKPathIndex::build(&g, 2);
+        let p = vec![sl(&g, "knows", false), sl(&g, "worksFor", false)];
+        let q = pathix_rpq::ast::inverse_path(&p);
+        let mut swapped: Vec<_> = index.scan_path(&q).map(|(a, b)| (b, a)).collect();
+        swapped.sort_unstable();
+        let direct: Vec<_> = index.scan_path(&p).collect();
+        assert_eq!(direct, swapped);
+    }
+
+    #[test]
+    fn k1_index_has_only_single_labels() {
+        let g = paper_example_graph();
+        let index = SharedKPathIndex::build(&g, 1);
+        assert!(index.per_path_counts().iter().all(|(p, _)| p.len() == 1));
+        let stats = index.stats();
+        assert_eq!(stats.k, 1);
+        assert_eq!(stats.distinct_paths, 6);
+        assert_eq!(
+            stats.entries,
+            index.per_path_counts().iter().map(|(_, c)| *c).sum::<u64>()
+        );
+    }
+
+    #[test]
+    fn stats_grow_with_k() {
+        let g = paper_example_graph();
+        let s1 = SharedKPathIndex::build(&g, 1).stats();
+        let s2 = SharedKPathIndex::build(&g, 2).stats();
+        let s3 = SharedKPathIndex::build(&g, 3).stats();
+        assert!(s1.entries < s2.entries && s2.entries < s3.entries);
+        assert!(s1.distinct_paths < s2.distinct_paths);
+        assert!(s2.paths_k_size <= s3.paths_k_size);
+        assert!(s1.approx_bytes < s3.approx_bytes);
+    }
+
+    #[test]
+    fn path_cardinality_is_exact() {
+        let g = paper_example_graph();
+        let index = SharedKPathIndex::build(&g, 2);
+        let knows = sl(&g, "knows", false);
+        let expected = naive_path_eval(&g, &[knows]).len() as u64;
+        assert_eq!(index.path_cardinality(&[knows]), Some(expected));
+        // Paths longer than k are not recorded.
+        assert_eq!(index.path_cardinality(&[knows, knows, knows]), None);
+    }
+
+    #[test]
+    fn scanning_a_path_longer_than_k_is_an_error() {
+        let g = paper_example_graph();
+        let index = SharedKPathIndex::build(&g, 1);
+        let knows = sl(&g, "knows", false);
+        assert!(PathIndexBackend::scan_path(&index, &[knows, knows]).is_err());
     }
 
     #[test]
     fn build_matches_the_bulk_index() {
         let g = paper_example_graph();
         for k in 1..=3 {
-            let bulk = KPathIndex::build(&g, k);
+            let bulk = IncrementalKPathIndex::bulk_from_graph(&g, k);
             let shared = SharedKPathIndex::build(&g, k);
-            assert_eq!(shared.stats().entries, bulk.stats().entries as u64);
+            assert_eq!(shared.stats().entries, bulk.entry_count() as u64);
             assert_eq!(shared.per_path_counts(), bulk.per_path_counts());
             assert_eq!(
                 PathIndexBackend::paths_k_size(&shared),
@@ -848,12 +1000,17 @@ mod tests {
                 "k = {k}"
             );
             for (path, _) in bulk.per_path_counts() {
-                let expected: Vec<_> = bulk.scan_path(path).collect();
+                let expected = naive_path_eval(&g, path);
                 let actual: Vec<_> = shared.scan_path(path).collect();
                 assert_eq!(actual, expected, "path {path:?}");
                 for &(a, b) in &expected {
                     assert!(shared.contains(path, a, b));
-                    assert_eq!(shared.scan_path_from(path, a), bulk.scan_path_from(path, a));
+                    let targets: Vec<_> = expected
+                        .iter()
+                        .filter(|&&(s, _)| s == a)
+                        .map(|&(_, t)| t)
+                        .collect();
+                    assert_eq!(shared.scan_path_from(path, a), targets);
                 }
             }
         }
@@ -864,27 +1021,15 @@ mod tests {
         let g = paper_example_graph();
         let k = 2;
         let shared = SharedKPathIndex::build(&g, k);
-        let mut oracle = IncrementalKPathIndex::bulk_from_graph(&g, k);
+        let mut writer = Writer::new(g.clone(), k);
 
         let knows = g.label_id("knows").unwrap();
         let sue = g.node_id("sue").unwrap();
         let tim = g.node_id("tim").unwrap();
-        let mut deltas = EntryDeltas::new();
-        assert!(oracle.apply_logged(
-            GraphUpdate::InsertEdge {
-                src: sue,
-                label: knows,
-                dst: tim,
-            },
-            &mut deltas,
-        ));
-        let next = shared
-            .with_batch(&delta_batch(&oracle, &deltas, 1, 0))
-            .unwrap();
+        writer.commit(&[EdgeOp::insert(sue, knows, tim)]);
+        let next = shared.with_batch(&writer.batch()).unwrap();
 
-        let mut updated = g.clone();
-        assert!(updated.insert_edge(sue, knows, tim));
-        let rebuilt = SharedKPathIndex::build(&updated, k);
+        let rebuilt = SharedKPathIndex::build(&writer.graph, k);
         assert_eq!(next.per_path_counts(), rebuilt.per_path_counts());
         for (path, _) in rebuilt.per_path_counts() {
             let expected: Vec<_> = rebuilt.scan_path(path).collect();
@@ -897,7 +1042,7 @@ mod tests {
         // The old value is untouched: full snapshot isolation.
         assert_eq!(
             shared.per_path_counts(),
-            KPathIndex::build(&g, k).per_path_counts()
+            SharedKPathIndex::build(&g, k).per_path_counts()
         );
     }
 
@@ -905,27 +1050,20 @@ mod tests {
     fn add_then_remove_within_one_batch_is_net_noop() {
         let g = paper_example_graph();
         let shared = SharedKPathIndex::build(&g, 2);
-        let mut oracle = IncrementalKPathIndex::bulk_from_graph(&g, 2);
+        let mut writer = Writer::new(g.clone(), 2);
         let knows = g.label_id("knows").unwrap();
         let sue = g.node_id("sue").unwrap();
         let tim = g.node_id("tim").unwrap();
-        let mut deltas = EntryDeltas::new();
-        let insert = GraphUpdate::InsertEdge {
-            src: sue,
-            label: knows,
-            dst: tim,
-        };
-        let delete = GraphUpdate::DeleteEdge {
-            src: sue,
-            label: knows,
-            dst: tim,
-        };
-        assert!(oracle.apply_logged(insert, &mut deltas));
-        assert!(oracle.apply_logged(delete, &mut deltas));
-        assert!(!deltas.is_empty(), "transitions were logged both ways");
-        let next = shared
-            .with_batch(&delta_batch(&oracle, &deltas, 1, 1))
-            .unwrap();
+        writer.commit(&[
+            EdgeOp::insert(sue, knows, tim),
+            EdgeOp::delete(sue, knows, tim),
+        ]);
+        assert!(writer.changes.is_empty(), "the graph cancels the pair");
+        assert!(
+            writer.deltas.is_empty(),
+            "so the counting pass logs nothing"
+        );
+        let next = shared.with_batch(&writer.batch()).unwrap();
         assert_eq!(next.stats().entries, shared.stats().entries);
         for (path, _) in shared.per_path_counts() {
             assert_eq!(
@@ -941,70 +1079,31 @@ mod tests {
         // A synthetic single-label chain large enough to force several chunks,
         // then heavy delete/insert churn replayed through delta batches.
         let l = LabelId(0);
-        let mut oracle = IncrementalKPathIndex::new(1);
-        let mut deltas = EntryDeltas::new();
-        for i in 0..(3 * CHUNK_MAX as u32) {
-            oracle.apply_logged(
-                GraphUpdate::InsertEdge {
-                    src: NodeId(i),
-                    label: l,
-                    dst: NodeId(i + 1),
-                },
-                &mut deltas,
-            );
-        }
-        let empty = SharedKPathIndex {
-            k: 1,
-            node_count: 0,
-            paths_k_size: 0,
-            entries: 0,
-            runs: Vec::new(),
-            per_path_counts: Vec::new(),
-            last_publish: RunPublishStats::default(),
-            inserts_applied: 0,
-            deletes_applied: 0,
-            chunks_skipped: Arc::default(),
-        };
-        let mut shared = empty
-            .with_batch(&delta_batch(&oracle, &deltas, 3 * CHUNK_MAX as u64, 0))
-            .unwrap();
+        let n = 3 * CHUNK_MAX as u32;
+        let mut writer = Writer::with_vocab(n + 1, 1, 1);
+        let mut shared = SharedKPathIndex::build(&writer.graph, 1);
+        let chain: Vec<EdgeOp> = (0..n)
+            .map(|i| EdgeOp::insert(NodeId(i), l, NodeId(i + 1)))
+            .collect();
+        writer.commit(&chain);
+        shared = shared.with_batch(&writer.batch()).unwrap();
         assert!(shared.chunk_count() > 1, "chain must span several chunks");
 
         for round in 0..4u32 {
-            deltas.clear();
-            let mut deleted = 0;
-            let mut inserted = 0;
-            for i in (round..(3 * CHUNK_MAX as u32)).step_by(7) {
-                let update = if i % 2 == 0 {
-                    GraphUpdate::DeleteEdge {
-                        src: NodeId(i),
-                        label: l,
-                        dst: NodeId(i + 1),
-                    }
-                } else {
-                    GraphUpdate::InsertEdge {
-                        src: NodeId(i),
-                        label: l,
-                        dst: NodeId(i + 1),
-                    }
-                };
-                let is_insert = matches!(update, GraphUpdate::InsertEdge { .. });
-                if oracle.apply_logged(update, &mut deltas) {
-                    if is_insert {
-                        inserted += 1;
-                    } else {
-                        deleted += 1;
-                    }
-                }
-            }
-            shared = shared
-                .with_batch(&delta_batch(&oracle, &deltas, inserted, deleted))
-                .unwrap();
-            for (path, count) in oracle.per_path_counts() {
+            let churn: Vec<EdgeOp> = (round..n)
+                .step_by(7)
+                .map(|i| EdgeOp {
+                    insert: i % 2 == 1,
+                    ..chain[i as usize]
+                })
+                .collect();
+            writer.commit(&churn);
+            shared = shared.with_batch(&writer.batch()).unwrap();
+            for (path, count) in writer.table.per_path_counts() {
                 let pairs: Vec<_> = shared.scan_path(path).collect();
                 assert_eq!(pairs.len() as u64, *count, "round {round}, path {path:?}");
                 assert!(pairs.windows(2).all(|w| w[0] < w[1]), "round {round}");
-                assert_eq!(pairs, oracle.scan_path(path), "round {round}");
+                assert_eq!(pairs, writer.table.scan_path(path), "round {round}");
             }
             let publish = shared.last_publish_stats();
             assert!(
@@ -1022,55 +1121,27 @@ mod tests {
         // instead of staying at the run's historical peak.
         let l = LabelId(0);
         let n = 8 * CHUNK_MAX as u32;
-        let mut oracle = IncrementalKPathIndex::new(1);
-        let mut deltas = EntryDeltas::new();
-        for i in 0..n {
-            oracle.apply_logged(
-                GraphUpdate::InsertEdge {
-                    src: NodeId(i),
-                    label: l,
-                    dst: NodeId(i),
-                },
-                &mut deltas,
-            );
-        }
-        let empty = SharedKPathIndex {
-            k: 1,
-            node_count: 0,
-            paths_k_size: 0,
-            entries: 0,
-            runs: Vec::new(),
-            per_path_counts: Vec::new(),
-            last_publish: RunPublishStats::default(),
-            inserts_applied: 0,
-            deletes_applied: 0,
-            chunks_skipped: Arc::default(),
-        };
-        let mut shared = empty
-            .with_batch(&delta_batch(&oracle, &deltas, n as u64, 0))
-            .unwrap();
+        let mut writer = Writer::with_vocab(n, 1, 1);
+        let mut shared = SharedKPathIndex::build(&writer.graph, 1);
+        let loops: Vec<EdgeOp> = (0..n)
+            .map(|i| EdgeOp::insert(NodeId(i), l, NodeId(i)))
+            .collect();
+        writer.commit(&loops);
+        shared = shared.with_batch(&writer.batch()).unwrap();
         let peak_chunks = shared.chunk_count();
         assert!(peak_chunks >= 8);
 
         // Delete 15 of every 16 entries, scattered, over several batches.
         for offset in 0..15u32 {
-            deltas.clear();
-            let mut deleted = 0;
-            for i in ((offset)..n).step_by(16) {
-                if oracle.apply_logged(
-                    GraphUpdate::DeleteEdge {
-                        src: NodeId(i),
-                        label: l,
-                        dst: NodeId(i),
-                    },
-                    &mut deltas,
-                ) {
-                    deleted += 1;
-                }
-            }
-            shared = shared
-                .with_batch(&delta_batch(&oracle, &deltas, 0, deleted))
-                .unwrap();
+            let deletes: Vec<EdgeOp> = (offset..n)
+                .step_by(16)
+                .map(|i| EdgeOp {
+                    insert: false,
+                    ..loops[i as usize]
+                })
+                .collect();
+            writer.commit(&deletes);
+            shared = shared.with_batch(&writer.batch()).unwrap();
         }
         // Self-loops index under both signed directions: two runs.
         let live = shared.stats().entries as usize;
@@ -1081,62 +1152,27 @@ mod tests {
             shared.chunk_count()
         );
         let pairs: Vec<_> = shared.scan_path(&[SignedLabel::forward(l)]).collect();
-        assert_eq!(pairs, oracle.scan_path(&[SignedLabel::forward(l)]));
+        assert_eq!(pairs, writer.table.scan_path(&[SignedLabel::forward(l)]));
     }
 
     #[test]
     fn untouched_chunks_are_pointer_identical_across_epochs() {
         let l0 = LabelId(0);
         let l1 = LabelId(1);
-        let mut oracle = IncrementalKPathIndex::new(1);
-        let mut deltas = EntryDeltas::new();
-        for i in 0..(2 * CHUNK_MAX as u32) {
-            oracle.apply_logged(
-                GraphUpdate::InsertEdge {
-                    src: NodeId(i),
-                    label: l0,
-                    dst: NodeId(i),
-                },
-                &mut deltas,
-            );
-        }
-        oracle.apply_logged(
-            GraphUpdate::InsertEdge {
-                src: NodeId(0),
-                label: l1,
-                dst: NodeId(1),
-            },
-            &mut deltas,
-        );
-        let base = SharedKPathIndex {
-            k: 1,
-            node_count: 0,
-            paths_k_size: 0,
-            entries: 0,
-            runs: Vec::new(),
-            per_path_counts: Vec::new(),
-            last_publish: RunPublishStats::default(),
-            inserts_applied: 0,
-            deletes_applied: 0,
-            chunks_skipped: Arc::default(),
-        }
-        .with_batch(&delta_batch(&oracle, &deltas, 2 * CHUNK_MAX as u64 + 1, 0))
-        .unwrap();
+        let n = 2 * CHUNK_MAX as u32;
+        let mut writer = Writer::with_vocab(n, 2, 1);
+        let mut ops: Vec<EdgeOp> = (0..n)
+            .map(|i| EdgeOp::insert(NodeId(i), l0, NodeId(i)))
+            .collect();
+        ops.push(EdgeOp::insert(NodeId(0), l1, NodeId(1)));
+        let empty = SharedKPathIndex::build(&writer.graph, 1);
+        writer.commit(&ops);
+        let base = empty.with_batch(&writer.batch()).unwrap();
 
         // Touch only label 1: every chunk of the big label-0 runs must be the
         // same allocation in the next epoch.
-        deltas.clear();
-        oracle.apply_logged(
-            GraphUpdate::InsertEdge {
-                src: NodeId(2),
-                label: l1,
-                dst: NodeId(3),
-            },
-            &mut deltas,
-        );
-        let next = base
-            .with_batch(&delta_batch(&oracle, &deltas, 1, 0))
-            .unwrap();
+        writer.commit(&[EdgeOp::insert(NodeId(2), l1, NodeId(3))]);
+        let next = base.with_batch(&writer.batch()).unwrap();
         let fwd0 = [SignedLabel::forward(l0)];
         let before = base.run(&fwd0).unwrap();
         let after = next.run(&fwd0).unwrap();
@@ -1152,34 +1188,14 @@ mod tests {
         // A multi-chunk single-label chain: probing one source must read at
         // most the chunks whose fences admit it and count the rest skipped.
         let l = LabelId(0);
-        let mut oracle = IncrementalKPathIndex::new(1);
-        let mut deltas = EntryDeltas::new();
         let n_edges = 4 * CHUNK_MAX as u32;
-        for i in 0..n_edges {
-            oracle.apply_logged(
-                GraphUpdate::InsertEdge {
-                    src: NodeId(i),
-                    label: l,
-                    dst: NodeId(i + 1),
-                },
-                &mut deltas,
-            );
-        }
-        let empty = SharedKPathIndex {
-            k: 1,
-            node_count: 0,
-            paths_k_size: 0,
-            entries: 0,
-            runs: Vec::new(),
-            per_path_counts: Vec::new(),
-            last_publish: RunPublishStats::default(),
-            inserts_applied: 0,
-            deletes_applied: 0,
-            chunks_skipped: Arc::default(),
-        };
-        let shared = empty
-            .with_batch(&delta_batch(&oracle, &deltas, n_edges as u64, 0))
-            .unwrap();
+        let mut writer = Writer::with_vocab(n_edges + 1, 1, 1);
+        let empty = SharedKPathIndex::build(&writer.graph, 1);
+        let chain: Vec<EdgeOp> = (0..n_edges)
+            .map(|i| EdgeOp::insert(NodeId(i), l, NodeId(i + 1)))
+            .collect();
+        writer.commit(&chain);
+        let shared = empty.with_batch(&writer.batch()).unwrap();
         let path = [SignedLabel::forward(l)];
         let chunk_count = shared.run(&path).unwrap().chunks.len();
         assert!(chunk_count >= 4, "need several chunks, got {chunk_count}");
@@ -1204,25 +1220,14 @@ mod tests {
     fn bloom_stays_a_superset_across_rebuilds() {
         let g = paper_example_graph();
         let shared = SharedKPathIndex::build(&g, 2);
-        let mut oracle = IncrementalKPathIndex::bulk_from_graph(&g, 2);
+        let mut writer = Writer::new(g.clone(), 2);
         let knows = g.label_id("knows").unwrap();
         let sue = g.node_id("sue").unwrap();
         let tim = g.node_id("tim").unwrap();
-        let mut deltas = EntryDeltas::new();
-        assert!(oracle.apply_logged(
-            GraphUpdate::InsertEdge {
-                src: sue,
-                label: knows,
-                dst: tim,
-            },
-            &mut deltas,
-        ));
-        let next = shared
-            .with_batch(&delta_batch(&oracle, &deltas, 1, 0))
-            .unwrap();
+        writer.commit(&[EdgeOp::insert(sue, knows, tim)]);
+        let next = shared.with_batch(&writer.batch()).unwrap();
 
-        let mut updated = g.clone();
-        assert!(updated.insert_edge(sue, knows, tim));
+        let updated = writer.graph.clone();
         let rebuilt = SharedKPathIndex::build(&updated, 2);
         // Every live entry must pass the (possibly inherited) bloom — no
         // false negatives — so bound probes match a from-scratch build.
@@ -1293,7 +1298,7 @@ mod tests {
     fn audit_is_clean_after_build_and_after_delta_publishes() {
         let g = paper_example_graph();
         let mut shared = SharedKPathIndex::build(&g, 2);
-        let mut oracle = IncrementalKPathIndex::bulk_from_graph(&g, 2);
+        let mut writer = Writer::new(g.clone(), 2);
         assert_eq!(violated(&shared), Vec::<&str>::new());
 
         let knows = g.label_id("knows").unwrap();
@@ -1303,28 +1308,14 @@ mod tests {
             (g.node_id("kim").unwrap(), g.node_id("sue").unwrap()),
         ];
         rng_edges.extend(rng_edges.clone());
-        let mut deltas = EntryDeltas::new();
         for (i, (src, dst)) in rng_edges.into_iter().enumerate() {
-            deltas.clear();
-            let update = if i < 3 {
-                GraphUpdate::InsertEdge {
-                    src,
-                    label: knows,
-                    dst,
-                }
-            } else {
-                GraphUpdate::DeleteEdge {
-                    src,
-                    label: knows,
-                    dst,
-                }
-            };
-            if oracle.apply_logged(update, &mut deltas) {
-                let (ins, del) = if i < 3 { (1, 0) } else { (0, 1) };
-                shared = shared
-                    .with_batch(&delta_batch(&oracle, &deltas, ins, del))
-                    .unwrap();
-            }
+            writer.commit(&[EdgeOp {
+                src,
+                label: knows,
+                dst,
+                insert: i < 3,
+            }]);
+            shared = shared.with_batch(&writer.batch()).unwrap();
             assert_eq!(violated(&shared), Vec::<&str>::new(), "publish {i}");
         }
     }
@@ -1402,69 +1393,32 @@ mod tests {
         // a superset of the previous epoch's (rebuilds only OR bits in).
         let l = LabelId(0);
         let n = 2 * CHUNK_MAX as u32;
-        let mut oracle = IncrementalKPathIndex::new(1);
-        let mut deltas = EntryDeltas::new();
-        for i in 0..n {
-            oracle.apply_logged(
-                GraphUpdate::InsertEdge {
-                    src: NodeId(2 * i),
-                    label: l,
-                    dst: NodeId(2 * i + 1),
-                },
-                &mut deltas,
-            );
-        }
-        let empty = SharedKPathIndex {
-            k: 1,
-            node_count: 0,
-            paths_k_size: 0,
-            entries: 0,
-            runs: Vec::new(),
-            per_path_counts: Vec::new(),
-            last_publish: RunPublishStats::default(),
-            inserts_applied: 0,
-            deletes_applied: 0,
-            chunks_skipped: Arc::default(),
-        };
-        let mut shared = empty
-            .with_batch(&delta_batch(&oracle, &deltas, n as u64, 0))
-            .unwrap();
+        let mut writer = Writer::with_vocab(2 * n, 1, 1);
+        let empty = SharedKPathIndex::build(&writer.graph, 1);
+        let pairs: Vec<EdgeOp> = (0..n)
+            .map(|i| EdgeOp::insert(NodeId(2 * i), l, NodeId(2 * i + 1)))
+            .collect();
+        writer.commit(&pairs);
+        let mut shared = empty.with_batch(&writer.batch()).unwrap();
 
         for round in 0..5u32 {
-            deltas.clear();
-            let mut inserted = 0;
-            let mut deleted = 0;
-            for i in (round..n).step_by(5) {
-                let update = if i % 2 == 0 {
-                    GraphUpdate::DeleteEdge {
-                        src: NodeId(2 * i),
-                        label: l,
-                        dst: NodeId(2 * i + 1),
-                    }
-                } else {
-                    GraphUpdate::InsertEdge {
-                        src: NodeId(2 * i + 1),
-                        label: l,
-                        dst: NodeId(2 * i),
-                    }
-                };
-                let is_insert = matches!(update, GraphUpdate::InsertEdge { .. });
-                if oracle.apply_logged(update, &mut deltas) {
-                    if is_insert {
-                        inserted += 1;
+            let churn: Vec<EdgeOp> = (round..n)
+                .step_by(5)
+                .map(|i| {
+                    if i % 2 == 0 {
+                        EdgeOp::delete(NodeId(2 * i), l, NodeId(2 * i + 1))
                     } else {
-                        deleted += 1;
+                        EdgeOp::insert(NodeId(2 * i + 1), l, NodeId(2 * i))
                     }
-                }
-            }
+                })
+                .collect();
+            writer.commit(&churn);
             let prev_blooms: Vec<(Vec<SignedLabel>, [u64; 8])> = shared
                 .runs
                 .iter()
                 .map(|r| (r.path.clone(), r.meta.bloom.bits))
                 .collect();
-            let next = shared
-                .with_batch(&delta_batch(&oracle, &deltas, inserted, deleted))
-                .unwrap();
+            let next = shared.with_batch(&writer.batch()).unwrap();
 
             for run in &next.runs {
                 for chunk in run.chunks.iter() {

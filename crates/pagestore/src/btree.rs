@@ -1,9 +1,7 @@
 //! A disk-oriented B+tree over slotted pages and a buffer pool.
 //!
-//! This is the paged counterpart of the in-memory
-//! [`pathix_storage::BPlusTree`]: the same ordered-dictionary contract
-//! (byte-string keys, point lookups, range and prefix scans, sorted bulk
-//! load), but with nodes stored in fixed-size pages behind a
+//! An ordered dictionary (byte-string keys, point lookups, range and prefix
+//! scans, sorted bulk load) whose nodes are stored in fixed-size pages behind a
 //! [`BufferPool`], so the index can be larger than memory and its I/O
 //! behaviour can be measured — the dimension the paper's companion work
 //! (reference \[14\]) studies.
@@ -48,7 +46,7 @@ use crate::buffer::BufferPool;
 use crate::page::{get_u32, get_u64, put_u32, put_u64, PageId, PAGE_SIZE};
 use crate::slotted;
 use pathix_audit::{AuditReport, StructuralAudit};
-use pathix_storage::prefix_successor;
+use pathix_index::pathkey::prefix_successor;
 use std::collections::{BTreeMap, HashSet};
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};

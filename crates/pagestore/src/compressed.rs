@@ -34,7 +34,7 @@ use pathix_index::backend::{
     PathIndexBackend,
 };
 use pathix_index::pathkey::{decode_entry, encode_path_prefix};
-use pathix_index::{enumerate_paths, paths_k_cardinality, KPathIndex};
+use pathix_index::{enumerate_paths, paths_k_cardinality};
 use std::collections::btree_map;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -166,34 +166,6 @@ impl CompressedPathStore {
             node_count: graph.node_count(),
             per_path_counts,
             paths_k_size,
-            blocks,
-            overlays: BTreeMap::new(),
-            compaction_threshold: Self::DEFAULT_COMPACTION_THRESHOLD,
-            compactions: 0,
-            inserts_applied: 0,
-            deletes_applied: 0,
-            blocks_skipped: Arc::default(),
-        }
-    }
-
-    /// Builds the store from an already-constructed [`KPathIndex`] (avoids
-    /// re-enumerating paths when both representations are wanted).
-    pub fn from_index(index: &KPathIndex) -> Self {
-        let mut per_path_counts = Vec::with_capacity(index.per_path_counts().len());
-        let mut blocks = BTreeMap::new();
-        for (path, _) in index.per_path_counts() {
-            let mut pairs: Vec<(u32, u32)> =
-                index.scan_path(path).map(|(s, t)| (s.0, t.0)).collect();
-            pairs.sort_unstable();
-            pairs.dedup();
-            per_path_counts.push((path.clone(), pairs.len() as u64));
-            blocks.insert(encode_path_prefix(path), Arc::new(encode_block(&pairs)));
-        }
-        CompressedPathStore {
-            k: index.k(),
-            node_count: index.node_count(),
-            per_path_counts,
-            paths_k_size: index.paths_k_size(),
             blocks,
             overlays: BTreeMap::new(),
             compaction_threshold: Self::DEFAULT_COMPACTION_THRESHOLD,
@@ -754,8 +726,9 @@ impl MutablePathIndexBackend for CompressedPathStore {
 mod tests {
     use super::*;
     use pathix_datagen::paper_example_graph;
+    use pathix_graph::EdgeOp;
     use pathix_graph::SignedLabel;
-    use pathix_index::{EntryDeltas, GraphUpdate, IncrementalKPathIndex};
+    use pathix_index::{naive_path_eval, EntryDeltas, IncrementalKPathIndex, SharedKPathIndex};
 
     fn knows(g: &Graph) -> SignedLabel {
         SignedLabel::forward(g.label_id("knows").unwrap())
@@ -765,27 +738,17 @@ mod tests {
     fn matches_the_uncompressed_index_on_the_paper_example() {
         let g = paper_example_graph();
         let k = 3;
-        let index = KPathIndex::build(&g, k);
+        let index = SharedKPathIndex::build(&g, k);
         let store = CompressedPathStore::build(&g, k);
         assert_eq!(store.k(), k);
         assert_eq!(store.path_count(), index.per_path_counts().len());
         for (path, count) in index.per_path_counts() {
-            let from_index: Vec<_> = index.scan_path(path).collect();
-            let from_store = store.pairs(path);
-            assert_eq!(from_index, from_store, "path {path:?}");
+            assert_eq!(
+                store.pairs(path),
+                naive_path_eval(&g, path),
+                "path {path:?}"
+            );
             assert_eq!(store.path_cardinality(path), Some(*count));
-        }
-    }
-
-    #[test]
-    fn from_index_equals_build() {
-        let g = paper_example_graph();
-        let index = KPathIndex::build(&g, 2);
-        let a = CompressedPathStore::build(&g, 2);
-        let b = CompressedPathStore::from_index(&index);
-        assert_eq!(a.path_count(), b.path_count());
-        for (path, _) in index.per_path_counts() {
-            assert_eq!(a.pairs(path), b.pairs(path));
         }
     }
 
@@ -829,37 +792,34 @@ mod tests {
         assert!(stats.ratio() > 1.0);
     }
 
-    /// Applies `updates` through the shared counting rules and hands the
-    /// resulting key deltas to the store, mirroring what `PathDb::apply`
-    /// does per batch.
-    fn apply_updates(
-        store: &mut CompressedPathStore,
-        oracle: &mut IncrementalKPathIndex,
-        updates: &[GraphUpdate],
-    ) {
-        let mut deltas = EntryDeltas::new();
-        let mut inserted = 0;
-        let mut deleted = 0;
-        for update in updates {
-            let is_insert = matches!(update, GraphUpdate::InsertEdge { .. });
-            if oracle.apply_logged(update.clone(), &mut deltas) {
-                if is_insert {
-                    inserted += 1;
-                } else {
-                    deleted += 1;
-                }
+    /// The writer side of a live database: a graph epoch and its walk-count
+    /// table.
+    struct Writer {
+        graph: Graph,
+        table: IncrementalKPathIndex,
+    }
+
+    impl Writer {
+        fn new(graph: &Graph, k: usize) -> Self {
+            Writer {
+                graph: graph.clone(),
+                table: IncrementalKPathIndex::bulk_from_graph(graph, k),
             }
         }
+    }
+
+    /// Commits `ops` as one batch through the walk-count table and hands the
+    /// resulting key deltas to the store, mirroring what `PathDb::apply`
+    /// does per batch.
+    fn apply_updates(store: &mut CompressedPathStore, writer: &mut Writer, ops: &[EdgeOp]) {
+        let mut deltas = EntryDeltas::new();
+        let (next, changes) = writer
+            .table
+            .apply_batch(&writer.graph, writer.graph.vocab_batch(), ops, &mut deltas)
+            .unwrap();
+        writer.graph = next;
         store
-            .apply_delta_batch(&DeltaBatch {
-                deltas: &deltas,
-                per_path_counts: oracle.per_path_counts(),
-                paths_k_size: oracle.paths_k_size(),
-                node_count: oracle.node_count(),
-                inserted_edges: inserted,
-                deleted_edges: deleted,
-                seq: 1,
-            })
+            .apply_delta_batch(&writer.table.delta_batch(&deltas, &changes, 1))
             .unwrap();
     }
 
@@ -868,7 +828,7 @@ mod tests {
         let g = paper_example_graph();
         let k = 2;
         let mut store = CompressedPathStore::build(&g, k);
-        let mut oracle = IncrementalKPathIndex::bulk_from_graph(&g, k);
+        let mut oracle = Writer::new(&g, k);
 
         let sue = g.node_id("sue").unwrap();
         let tim = g.node_id("tim").unwrap();
@@ -877,16 +837,8 @@ mod tests {
         let knows_l = g.label_id("knows").unwrap();
         let supervisor = g.label_id("supervisor").unwrap();
         let updates = [
-            GraphUpdate::InsertEdge {
-                src: sue,
-                label: knows_l,
-                dst: tim,
-            },
-            GraphUpdate::DeleteEdge {
-                src: kim,
-                label: supervisor,
-                dst: liz,
-            },
+            EdgeOp::insert(sue, knows_l, tim),
+            EdgeOp::delete(kim, supervisor, liz),
         ];
         apply_updates(&mut store, &mut oracle, &updates);
         assert_eq!(store.updates_applied(), (1, 1));
@@ -914,11 +866,7 @@ mod tests {
         apply_updates(
             &mut store,
             &mut oracle,
-            &[GraphUpdate::DeleteEdge {
-                src: sue,
-                label: knows_l,
-                dst: tim,
-            }],
+            &[EdgeOp::delete(sue, knows_l, tim)],
         );
         let kn = knows(&g);
         assert!(view.pairs(&[kn]).contains(&(sue, tim)));
@@ -929,18 +877,14 @@ mod tests {
     fn compaction_folds_overlays_into_blocks_past_the_threshold() {
         let g = paper_example_graph();
         let mut store = CompressedPathStore::build(&g, 2).with_compaction_threshold(1);
-        let mut oracle = IncrementalKPathIndex::bulk_from_graph(&g, 2);
+        let mut oracle = Writer::new(&g, 2);
         let sue = g.node_id("sue").unwrap();
         let tim = g.node_id("tim").unwrap();
         let knows_l = g.label_id("knows").unwrap();
         apply_updates(
             &mut store,
             &mut oracle,
-            &[GraphUpdate::InsertEdge {
-                src: sue,
-                label: knows_l,
-                dst: tim,
-            }],
+            &[EdgeOp::insert(sue, knows_l, tim)],
         );
         let stats = store.overlay_stats();
         assert_eq!(
@@ -954,15 +898,11 @@ mod tests {
         assert!(store.pairs(&[kn]).contains(&(sue, tim)));
         // Deleting every pair of a path through compaction drops its block.
         let blocks_with_path = store.blocks.len();
-        let deletions: Vec<GraphUpdate> = g
+        let deletions: Vec<EdgeOp> = g
             .labels()
             .flat_map(|l| g.edges(l).map(move |(s, d)| (s, l, d)))
-            .map(|(src, label, dst)| GraphUpdate::DeleteEdge { src, label, dst })
-            .chain(std::iter::once(GraphUpdate::DeleteEdge {
-                src: sue,
-                label: knows_l,
-                dst: tim,
-            }))
+            .map(|(src, label, dst)| EdgeOp::delete(src, label, dst))
+            .chain(std::iter::once(EdgeOp::delete(sue, knows_l, tim)))
             .collect();
         apply_updates(&mut store, &mut oracle, &deletions);
         assert_eq!(store.path_count(), 0);
@@ -1009,7 +949,7 @@ mod tests {
     fn batched_scan_matches_streaming_with_and_without_overlay() {
         let g = paper_example_graph();
         let mut store = CompressedPathStore::build(&g, 2);
-        let mut oracle = IncrementalKPathIndex::bulk_from_graph(&g, 2);
+        let mut oracle = Writer::new(&g, 2);
         let drain = |store: &CompressedPathStore, path: &[SignedLabel]| {
             let mut scan = PathIndexBackend::scan_path_batches(store, path).unwrap();
             let mut batch = PairBatch::with_capacity(5);
@@ -1032,11 +972,7 @@ mod tests {
         apply_updates(
             &mut store,
             &mut oracle,
-            &[GraphUpdate::InsertEdge {
-                src: sue,
-                label: g.label_id("knows").unwrap(),
-                dst: tim,
-            }],
+            &[EdgeOp::insert(sue, g.label_id("knows").unwrap(), tim)],
         );
         assert!(store.overlay_stats().overlay_entries > 0);
         check(&store);
@@ -1051,19 +987,11 @@ mod tests {
         b.add_node("c");
         let g = b.build();
         let mut store = CompressedPathStore::build(&g, 2);
-        let mut oracle = IncrementalKPathIndex::bulk_from_graph(&g, 2);
+        let mut oracle = Writer::new(&g, 2);
         let l = g.label_id("l").unwrap();
         let bb = g.node_id("b").unwrap();
         let cc = g.node_id("c").unwrap();
-        apply_updates(
-            &mut store,
-            &mut oracle,
-            &[GraphUpdate::InsertEdge {
-                src: bb,
-                label: l,
-                dst: cc,
-            }],
-        );
+        apply_updates(&mut store, &mut oracle, &[EdgeOp::insert(bb, l, cc)]);
         let fwd = SignedLabel::forward(l);
         let aa = g.node_id("a").unwrap();
         assert_eq!(store.pairs(&[fwd, fwd]), vec![(aa, cc)]);
@@ -1081,7 +1009,7 @@ mod tests {
     fn audit_is_clean_after_build_updates_and_compaction() {
         let g = paper_example_graph();
         let mut store = CompressedPathStore::build(&g, 2).with_compaction_threshold(3);
-        let mut oracle = IncrementalKPathIndex::bulk_from_graph(&g, 2);
+        let mut oracle = Writer::new(&g, 2);
         assert!(violated(&store).is_empty(), "freshly built store");
 
         let sue = g.node_id("sue").unwrap();
@@ -1090,28 +1018,12 @@ mod tests {
         let liz = g.node_id("liz").unwrap();
         let knows_l = g.label_id("knows").unwrap();
         let supervisor = g.label_id("supervisor").unwrap();
-        let scripts: [&[GraphUpdate]; 3] = [
-            &[GraphUpdate::InsertEdge {
-                src: sue,
-                label: knows_l,
-                dst: tim,
-            }],
-            &[GraphUpdate::DeleteEdge {
-                src: kim,
-                label: supervisor,
-                dst: liz,
-            }],
+        let scripts: [&[EdgeOp]; 3] = [
+            &[EdgeOp::insert(sue, knows_l, tim)],
+            &[EdgeOp::delete(kim, supervisor, liz)],
             &[
-                GraphUpdate::DeleteEdge {
-                    src: sue,
-                    label: knows_l,
-                    dst: tim,
-                },
-                GraphUpdate::InsertEdge {
-                    src: kim,
-                    label: supervisor,
-                    dst: liz,
-                },
+                EdgeOp::delete(sue, knows_l, tim),
+                EdgeOp::insert(kim, supervisor, liz),
             ],
         ];
         for (i, updates) in scripts.iter().enumerate() {

@@ -1,7 +1,7 @@
 //! A disk-resident k-path index: `I_{G,k}` stored in a [`PagedBTree`].
 //!
-//! This is the paged counterpart of [`pathix_index::KPathIndex`]: the same
-//! search key `⟨label path, sourceID, targetID⟩` and the same three lookup
+//! This is the paged counterpart of [`pathix_index::SharedKPathIndex`]: the
+//! same search key `⟨label path, sourceID, targetID⟩` and the same three lookup
 //! shapes (Example 3.1 of the paper), but entries live in buffer-pool pages
 //! so the index can be (much) larger than memory and its I/O behaviour can be
 //! measured — the questions studied by the companion work the paper cites
@@ -14,7 +14,7 @@
 //!
 //! The index is also **mutable** ([`MutablePathIndexBackend`]): the key-level
 //! deltas of a live update batch — computed once, backend-agnostically, by
-//! the counting rules of [`pathix_index::IncrementalKPathIndex`] — are
+//! the counting pass of [`pathix_index::IncrementalKPathIndex`] — are
 //! replayed as B+tree key inserts and deletes (page splits, merges and
 //! free-list recycling included) and written back through the buffer pool,
 //! so an on-disk index stays durable across batches.
@@ -586,18 +586,35 @@ impl MutablePathIndexBackend for PagedPathIndex {
 mod tests {
     use super::*;
     use pathix_datagen::paper_example_graph;
-    use pathix_index::KPathIndex;
+    use pathix_graph::EdgeOp;
+    use pathix_index::{naive_path_eval, EntryDeltas, IncrementalKPathIndex, SharedKPathIndex};
+
+    /// Commits `ops` to `graph` through the walk-count table, logging into a
+    /// fresh `deltas`, and returns the net change set.
+    fn commit(
+        graph: &mut Graph,
+        oracle: &mut IncrementalKPathIndex,
+        deltas: &mut EntryDeltas,
+        ops: &[EdgeOp],
+    ) -> Vec<EdgeOp> {
+        deltas.clear();
+        let (next, changes) = oracle
+            .apply_batch(graph, graph.vocab_batch(), ops, deltas)
+            .unwrap();
+        *graph = next;
+        changes
+    }
 
     #[test]
     fn paged_index_matches_in_memory_index() {
         let g = paper_example_graph();
         let k = 2;
-        let mem = KPathIndex::build(&g, k);
+        let mem = SharedKPathIndex::build(&g, k);
         let paged = PagedPathIndex::build_in_memory(&g, k, 8).unwrap();
         assert_eq!(paged.k(), k);
-        assert_eq!(paged.len(), mem.stats().entries as u64);
+        assert_eq!(paged.len(), mem.stats().entries);
         for (path, _) in mem.per_path_counts() {
-            let expected: Vec<_> = mem.scan_path(path).collect();
+            let expected = naive_path_eval(&g, path);
             assert_eq!(paged.scan_path(path).unwrap(), expected, "path {path:?}");
             if let Some(&(src, dst)) = expected.first() {
                 assert!(paged.contains(path, src, dst).unwrap());
@@ -661,70 +678,42 @@ mod tests {
 
     #[test]
     fn delta_batches_keep_the_paged_index_equal_to_a_rebuild() {
-        use pathix_index::{EntryDeltas, GraphUpdate, IncrementalKPathIndex};
-
         let g = paper_example_graph();
         let k = 2;
         let mut paged = PagedPathIndex::build_in_memory(&g, k, 8).unwrap();
+        let mut graph = g.clone();
         let mut oracle = IncrementalKPathIndex::bulk_from_graph(&g, k);
+        let mut deltas = EntryDeltas::new();
 
         // Delete a third of the edges, then re-insert them plus a new one.
-        let edges: Vec<_> = g
+        let deletes: Vec<EdgeOp> = g
             .labels()
-            .flat_map(|l| g.edges(l).map(move |(s, d)| (s, l, d)))
+            .flat_map(|l| g.edges(l).map(move |(s, d)| EdgeOp::delete(s, l, d)))
             .step_by(3)
             .collect();
-        let mut updates: Vec<GraphUpdate> = edges
-            .iter()
-            .map(|&(src, label, dst)| GraphUpdate::DeleteEdge { src, label, dst })
-            .collect();
-        updates.extend(
-            edges
-                .iter()
-                .map(|&(src, label, dst)| GraphUpdate::InsertEdge { src, label, dst }),
-        );
         let sue = g.node_id("sue").unwrap();
         let tim = g.node_id("tim").unwrap();
         let knows = g.label_id("knows").unwrap();
-        updates.push(GraphUpdate::InsertEdge {
-            src: sue,
-            label: knows,
-            dst: tim,
-        });
-
-        let mut deltas = EntryDeltas::new();
-        let mut inserted = 0;
-        let mut deleted = 0;
-        for update in &updates {
-            let is_insert = matches!(update, GraphUpdate::InsertEdge { .. });
-            if oracle.apply_logged(update.clone(), &mut deltas) {
-                if is_insert {
-                    inserted += 1;
-                } else {
-                    deleted += 1;
-                }
-            }
+        let mut inserts: Vec<EdgeOp> = deletes
+            .iter()
+            .map(|&op| EdgeOp { insert: true, ..op })
+            .collect();
+        inserts.push(EdgeOp::insert(sue, knows, tim));
+        for (seq, ops) in [deletes, inserts].iter().enumerate() {
+            let changes = commit(&mut graph, &mut oracle, &mut deltas, ops);
+            paged
+                .apply_delta_batch(&oracle.delta_batch(&deltas, &changes, seq as u64 + 1))
+                .unwrap();
         }
-        let batch = DeltaBatch {
-            deltas: &deltas,
-            per_path_counts: oracle.per_path_counts(),
-            paths_k_size: oracle.paths_k_size(),
-            node_count: oracle.node_count(),
-            inserted_edges: inserted,
-            deleted_edges: deleted,
-            seq: 1,
-        };
-        paged.apply_delta_batch(&batch).unwrap();
+        let deleted = (g.edge_count() as u64).div_ceil(3);
         assert_eq!(
             MutablePathIndexBackend::updates_applied(&paged),
-            (inserted, deleted)
+            (deleted + 1, deleted)
         );
 
         // The mutated paged index equals a paged index rebuilt over the
         // mutated graph, path by path.
-        let mut updated = g.clone();
-        assert!(updated.insert_edge(sue, knows, tim));
-        let rebuilt = PagedPathIndex::build_in_memory(&updated, k, 8).unwrap();
+        let rebuilt = PagedPathIndex::build_in_memory(&graph, k, 8).unwrap();
         assert_eq!(paged.len(), rebuilt.len());
         assert_eq!(paged.per_path_counts(), rebuilt.per_path_counts());
         assert_eq!(
@@ -752,8 +741,6 @@ mod tests {
 
     #[test]
     fn audit_is_clean_after_build_batches_and_views() {
-        use pathix_index::{EntryDeltas, GraphUpdate, IncrementalKPathIndex};
-
         let g = paper_example_graph();
         let mut paged = PagedPathIndex::build_in_memory(&g, 2, 8).unwrap();
         let mut oracle = IncrementalKPathIndex::bulk_from_graph(&g, 2);
@@ -766,25 +753,16 @@ mod tests {
         let tim = g.node_id("tim").unwrap();
         let knows = g.label_id("knows").unwrap();
         let mut deltas = EntryDeltas::new();
-        let applied = oracle.apply_logged(
-            GraphUpdate::InsertEdge {
-                src: sue,
-                label: knows,
-                dst: tim,
-            },
+        let mut graph = g.clone();
+        let changes = commit(
+            &mut graph,
+            &mut oracle,
             &mut deltas,
+            &[EdgeOp::insert(sue, knows, tim)],
         );
-        assert!(applied);
+        assert_eq!(changes.len(), 1);
         paged
-            .apply_delta_batch(&DeltaBatch {
-                deltas: &deltas,
-                per_path_counts: oracle.per_path_counts(),
-                paths_k_size: oracle.paths_k_size(),
-                node_count: oracle.node_count(),
-                inserted_edges: 1,
-                deleted_edges: 0,
-                seq: 1,
-            })
+            .apply_delta_batch(&oracle.delta_batch(&deltas, &changes, 1))
             .unwrap();
         let mut report = AuditReport::new();
         report.run("paged", &paged);
@@ -825,8 +803,6 @@ mod tests {
 
     #[test]
     fn on_disk_index_reopens_with_recovered_stats() {
-        use pathix_index::{EntryDeltas, GraphUpdate, IncrementalKPathIndex};
-
         let dir = std::env::temp_dir().join(format!("pathix-pidx-reopen-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("kpath.pages");
@@ -834,6 +810,7 @@ mod tests {
         let k = 2;
 
         let mut oracle = IncrementalKPathIndex::bulk_from_graph(&g, k);
+        let mut updated = g.clone();
         let (len, per_path, paths_k, entries) = {
             let mut idx = PagedPathIndex::build_on_disk(&g, k, &path, 8).unwrap();
 
@@ -842,24 +819,14 @@ mod tests {
             let tim = g.node_id("tim").unwrap();
             let knows = g.label_id("knows").unwrap();
             let mut deltas = EntryDeltas::new();
-            assert!(oracle.apply_logged(
-                GraphUpdate::InsertEdge {
-                    src: sue,
-                    label: knows,
-                    dst: tim,
-                },
+            let changes = commit(
+                &mut updated,
+                &mut oracle,
                 &mut deltas,
-            ));
-            idx.apply_delta_batch(&DeltaBatch {
-                deltas: &deltas,
-                per_path_counts: oracle.per_path_counts(),
-                paths_k_size: oracle.paths_k_size(),
-                node_count: oracle.node_count(),
-                inserted_edges: 1,
-                deleted_edges: 0,
-                seq: 7,
-            })
-            .unwrap();
+                &[EdgeOp::insert(sue, knows, tim)],
+            );
+            idx.apply_delta_batch(&oracle.delta_batch(&deltas, &changes, 7))
+                .unwrap();
             idx.close().unwrap();
             assert!(!idx.flush_failed());
             (
@@ -882,12 +849,6 @@ mod tests {
         assert_eq!(reopened.counted_entries().unwrap(), entries);
 
         // The recovered entries reseed a live writer identical to the oracle.
-        let mut updated = g.clone();
-        assert!(updated.insert_edge(
-            g.node_id("sue").unwrap(),
-            g.label_id("knows").unwrap(),
-            g.node_id("tim").unwrap()
-        ));
         let reseeded = IncrementalKPathIndex::from_persisted_entries(&updated, k, entries).unwrap();
         assert_eq!(reseeded.entry_count() as u64, reopened.len());
         assert_eq!(reseeded.paths_k_size(), oracle.paths_k_size());

@@ -159,12 +159,12 @@ mod tests {
     use crate::planner::{plan_query, PlannerContext, Strategy};
     use pathix_datagen::paper_example_graph;
     use pathix_graph::{Graph, NodeId};
-    use pathix_index::{naive_path_eval, EstimationMode, KPathIndex, PathHistogram};
+    use pathix_index::{naive_path_eval, EstimationMode, PathHistogram, SharedKPathIndex};
     use pathix_rpq::{parse, to_disjuncts, RewriteOptions};
 
-    fn fixture(k: usize) -> (Graph, KPathIndex, PathHistogram) {
+    fn fixture(k: usize) -> (Graph, SharedKPathIndex, PathHistogram) {
         let g = paper_example_graph();
-        let index = KPathIndex::build(&g, k);
+        let index = SharedKPathIndex::build(&g, k);
         let hist = PathHistogram::build(
             index.per_path_counts(),
             index.paths_k_size(),

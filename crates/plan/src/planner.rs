@@ -148,11 +148,11 @@ mod tests {
     use super::*;
     use pathix_datagen::paper_example_graph;
     use pathix_graph::SignedLabel;
-    use pathix_index::{EstimationMode, KPathIndex};
+    use pathix_index::{EstimationMode, SharedKPathIndex};
 
-    fn fixture() -> (KPathIndex, PathHistogram) {
+    fn fixture() -> (SharedKPathIndex, PathHistogram) {
         let g = paper_example_graph();
-        let index = KPathIndex::build(&g, 2);
+        let index = SharedKPathIndex::build(&g, 2);
         let hist = PathHistogram::build(
             index.per_path_counts(),
             index.paths_k_size(),

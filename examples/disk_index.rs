@@ -9,7 +9,7 @@
 //! ```
 
 use pathix::datagen::{advogato_like, AdvogatoConfig};
-use pathix::index::KPathIndex;
+use pathix::index::SharedKPathIndex;
 use pathix::pagestore::{CompressedPathStore, PagedPathIndex};
 use pathix::SignedLabel;
 use std::time::Instant;
@@ -36,8 +36,9 @@ fn main() {
     for k in 1..=3usize {
         // 1. The in-memory index (what the query pipeline uses).
         let t = Instant::now();
-        let memory_index = KPathIndex::build(&graph, k);
+        let memory_index = SharedKPathIndex::build(&graph, k);
         let build = t.elapsed();
+        drop(memory_index);
 
         // 2. The same index bulk-loaded into 4 KiB pages behind a 64-frame
         //    buffer pool, backed by a real file in the target directory.
@@ -46,7 +47,7 @@ fn main() {
         let stats = paged.stats();
 
         // 3. The compressed per-path representation (delta + varint blocks).
-        let compressed = CompressedPathStore::from_index(&memory_index);
+        let compressed = CompressedPathStore::build(&graph, k);
         let cstats = compressed.stats();
 
         println!(

@@ -2,9 +2,10 @@
 //! arrive and disappear, without rebuilding from scratch.
 //!
 //! The paper builds its k-path index once over a static graph; this example
-//! exercises the counting-based maintenance extension
-//! ([`pathix::index::IncrementalKPathIndex`]) on a stream of social-network
-//! updates and compares its cost and results against full rebuilds.
+//! streams social-network updates through `PathDb::apply` — graph commit,
+//! one counting pass over the writer's walk-count table
+//! ([`pathix::index::IncrementalKPathIndex`]), publish — and compares its
+//! cost and results against full rebuilds.
 //!
 //! Run with:
 //!
@@ -13,8 +14,10 @@
 //! ```
 
 use pathix::datagen::{social_network, SocialConfig};
-use pathix::index::{IncrementalKPathIndex, KPathIndex};
-use pathix::{Graph, GraphBuilder, LabelId, NodeId};
+use pathix::index::{IncrementalKPathIndex, SharedKPathIndex};
+use pathix::{
+    Graph, GraphBuilder, GraphUpdate, LabelId, NodeId, PathDb, PathDbConfig, PathIndexBackend,
+};
 use std::time::Instant;
 
 /// Collects the labeled edge list of a graph.
@@ -65,26 +68,31 @@ fn main() {
         retracted.len()
     );
 
-    // 1. Seed the incremental index with the initial edge set.
+    // 1. A live database over the initial edge set.
     let initial_graph = graph_from_edges(&full, initial);
+    let db = PathDb::build(initial_graph, PathDbConfig::with_k(K));
+    // An empty batch seeds the writer's walk-count table.
     let start = Instant::now();
-    let mut live = IncrementalKPathIndex::from_graph(&initial_graph, K);
+    db.apply(&[]).expect("seeding the writer");
     println!(
-        "seeded incremental index: {} entries over {} paths in {:?}",
-        live.entry_count(),
-        live.distinct_paths(),
+        "live database: {} entries over {} paths, writer seeded in {:?}",
+        db.stats().index.entries,
+        db.stats().index.distinct_paths,
         start.elapsed()
     );
 
-    // 2. Apply the update stream: insertions first, then the retractions.
+    // 2. Apply the update stream one edge per batch: insertions first, then
+    //    the retractions.
     let start = Instant::now();
-    let mut stream_inserts = 0usize;
-    let mut stream_deletes = 0usize;
+    let mut stream_inserts = 0u64;
+    let mut stream_deletes = 0u64;
     for &(src, label, dst) in arriving {
-        stream_inserts += usize::from(live.insert_edge(src, label, dst));
+        let stats = db.apply(&[GraphUpdate::insert(src, label, dst)]).unwrap();
+        stream_inserts += stats.inserted;
     }
     for &(src, label, dst) in &retracted {
-        stream_deletes += usize::from(live.delete_edge(src, label, dst));
+        let stats = db.apply(&[GraphUpdate::delete(src, label, dst)]).unwrap();
+        stream_deletes += stats.deleted;
     }
     let incremental_time = start.elapsed();
     println!(
@@ -100,7 +108,7 @@ fn main() {
         .collect();
     let final_graph = graph_from_edges(&full, &final_edges);
     let start = Instant::now();
-    let rebuilt = KPathIndex::build(&final_graph, K);
+    let rebuilt = SharedKPathIndex::build(&final_graph, K);
     let rebuild_time = start.elapsed();
     println!(
         "full rebuild of the final graph: {} entries in {rebuild_time:?}",
@@ -116,27 +124,33 @@ fn main() {
     );
 
     // 4. Verify both routes agree on every indexed path relation.
-    assert_eq!(live.entry_count(), rebuilt.stats().entries);
+    let live = db.index();
+    assert_eq!(live.stats().entries, rebuilt.stats().entries);
     for (path, _) in rebuilt.per_path_counts() {
         let expected: Vec<_> = rebuilt.scan_path(path).collect();
-        assert_eq!(live.scan_path(path), expected, "path {path:?} diverged");
+        let actual: Vec<_> = live
+            .scan_path(path)
+            .unwrap()
+            .collect::<Result<_, _>>()
+            .unwrap();
+        assert_eq!(actual, expected, "path {path:?} diverged");
     }
     println!(
-        "incremental maintenance and full rebuild agree on all {} path relations ✔",
+        "live updates and full rebuild agree on all {} path relations ✔",
         rebuilt.stats().distinct_paths
     );
 
     // 5. Walk counts explain *why* pairs survive deletions: a pair stays in
     //    the index exactly while at least one walk still realizes it.
+    let counts = IncrementalKPathIndex::bulk_from_graph(&db.graph(), K);
     let knows = full.label_id("knows").expect("label exists");
     let kk: [pathix::SignedLabel; 2] = [knows.into(), knows.into()];
-    let survivors = live.scan_path(&kk);
-    if let Some(&(a, b)) = survivors.first() {
+    if let Some(&(a, b)) = counts.scan_path(&kk).first() {
         println!(
             "example: ({}, {}) is connected by {} distinct knows/knows walks",
             full.node_name(a).unwrap_or("?"),
             full.node_name(b).unwrap_or("?"),
-            live.walk_count(&kk, a, b)
+            counts.walk_count(&kk, a, b)
         );
     }
 }

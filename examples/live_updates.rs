@@ -1,9 +1,9 @@
 //! Live graph updates through the database facade: `PathDb::apply`, epochs,
 //! snapshot cursors and plan-cache invalidation in one walkthrough.
 //!
-//! The `incremental_updates` example exercises the raw index delta rules;
+//! The `incremental_updates` example measures update cost against rebuilds;
 //! this one shows the serving-side story the query stack builds on top of
-//! them: a database that answers queries *while* edges arrive and disappear,
+//! live updates: a database that answers queries *while* edges arrive and disappear,
 //! with prepared queries that never serve stale plans and cursors that keep
 //! a consistent snapshot.
 //!

@@ -13,11 +13,14 @@
 //!   [`PreparedQuery`], [`QueryOptions`] configures each execution,
 //!   [`Cursor`] streams answers with early termination, and [`Session`]
 //!   shares a database across concurrent clients;
-//! * [`graph`] — the graph substrate (builders, loaders, CSR adjacency);
+//! * [`graph`] — the graph substrate (builders, loaders, and the epochs of
+//!   chunked adjacency that live updates commit to);
 //! * [`datagen`] — synthetic datasets (Advogato-like, Erdős–Rényi,
 //!   Barabási–Albert, social networks) and RPQ workloads;
 //! * [`rpq`] — the query language (parser, rewriter, automata);
-//! * [`index`] — the k-path index and histogram;
+//! * [`index`] — the k-path index (in-memory chunked runs), the writer's
+//!   walk-count table that keeps it current under update batches, and the
+//!   histogram;
 //! * [`plan`] — planning strategies, cost model, executor and explain;
 //! * [`baselines`] — the automaton, Datalog and reachability baselines the
 //!   paper's introduction describes;
@@ -57,8 +60,8 @@
 //! execute flow runs against any of the built-in index representations.
 //! Select one with [`PathDbConfig::backend`] / [`BackendChoice`]:
 //!
-//! * [`BackendChoice::Memory`] (the default) — the in-memory B+tree; fastest
-//!   scans, bounded by RAM.
+//! * [`BackendChoice::Memory`] (the default) — the in-memory chunked runs;
+//!   fastest scans, bounded by RAM.
 //! * [`BackendChoice::PagedInMemory`] — the paged B+tree behind a
 //!   clock-eviction buffer pool with an in-memory page store; exercises the
 //!   full paging machinery (useful for tests and cache measurements).
@@ -86,10 +89,10 @@
 pub use pathix_core::{
     AuditReport, AuditSection, AuditViolation, BackendChoice, BackendError, BackendStats, Cursor,
     DbStats, DeltaBatch, EntryChange, EntryDeltas, EstimationMode, ExecutionStats, Graph,
-    GraphBuilder, GraphUpdate, HistogramRefresh, IndexBackend, IndexStats, LabelId,
-    MutablePathIndexBackend, NodeId, PathDb, PathDbConfig, PathIndexBackend, PhysicalPlan,
-    PlanCacheStats, PreparedQuery, QueryError, QueryOptions, QueryResult, Session, SignedLabel,
-    Snapshot, Strategy, StructuralAudit, UpdateStats,
+    GraphBuilder, GraphUpdate, HistogramRefresh, IndexBackend, LabelId, MutablePathIndexBackend,
+    NodeId, PathDb, PathDbConfig, PathIndexBackend, PhysicalPlan, PlanCacheStats, PreparedQuery,
+    QueryError, QueryOptions, QueryResult, Session, SignedLabel, Snapshot, Strategy,
+    StructuralAudit, UpdateStats,
 };
 
 /// The graph substrate crate.

@@ -126,6 +126,32 @@ fn random_update(rng: &mut StdRng, nodes: u32, labels: u16) -> GraphUpdate {
     }
 }
 
+/// One batch of every shape the net rule must get right: a fresh edge
+/// inserted and deleted again (they cancel), a self-loop, an edge under the
+/// last label, a re-insert of every edge an `earlier` batch deleted, and a
+/// named insert that grows the vocabulary.
+fn mixed_batch(
+    earlier: &[Vec<GraphUpdate>],
+    graph: &pathix::Graph,
+    labels: u16,
+) -> Vec<GraphUpdate> {
+    let (a, b) = (NodeId(0), NodeId(1));
+    let (first, last) = (LabelId(0), LabelId(labels - 1));
+    let mut batch = vec![
+        GraphUpdate::insert(a, first, b),
+        GraphUpdate::delete(a, first, b),
+        GraphUpdate::insert(b, last, b),
+        GraphUpdate::insert(b, last, a),
+    ];
+    batch.extend(earlier.iter().flatten().filter_map(|update| match *update {
+        GraphUpdate::DeleteEdge { src, label, dst } => Some(GraphUpdate::insert(src, label, dst)),
+        _ => None,
+    }));
+    let name = graph.node_name(a).unwrap_or_default().to_owned();
+    batch.push(GraphUpdate::insert_named(name, "grown", "grown-node"));
+    batch
+}
+
 #[test]
 fn all_backends_answer_identically_after_every_update_batch() {
     let dir = TempDir::new("harness");
@@ -157,15 +183,19 @@ fn all_backends_answer_identically_after_every_update_batch() {
             })
             .collect();
 
-        for batch_no in 0..rng.gen_range(1..4usize) {
-            let updates: Vec<GraphUpdate> = (0..rng.gen_range(1..9usize))
-                .map(|_| random_update(&mut rng, nodes, labels))
-                .collect();
-
+        let mut batches: Vec<Vec<GraphUpdate>> = (0..rng.gen_range(1..4usize))
+            .map(|_| {
+                (0..rng.gen_range(1..9usize))
+                    .map(|_| random_update(&mut rng, nodes, labels))
+                    .collect()
+            })
+            .collect();
+        batches.push(mixed_batch(&batches, &graph, labels));
+        for (batch_no, updates) in batches.iter().enumerate() {
             // Every backend reports the identical batch outcome...
             let outcomes: Vec<_> = dbs
                 .iter()
-                .map(|db| db.apply(&updates).expect("apply failed"))
+                .map(|db| db.apply(updates).expect("apply failed"))
                 .collect();
             for (db, outcome) in dbs.iter().zip(&outcomes) {
                 assert_eq!(

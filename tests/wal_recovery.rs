@@ -78,8 +78,11 @@ fn on_disk(path: PathBuf) -> PathDbConfig {
 }
 
 /// The scripted update sequence. Every batch changes the answer card (so
-/// prefixes are distinguishable), and batches 2 and 4 intern names that did
-/// not exist at build time — the live vocabulary must survive the crash.
+/// prefixes are distinguishable), and batches 2, 4 and 6 intern names that
+/// did not exist at build time — the live vocabulary must survive the crash.
+/// Batch 6 mixes every net-rule shape, so recovery replays net ops: an
+/// insert and a delete of one edge that cancel, a re-insert of the edge
+/// batch 4 deleted, a self-loop and a new node.
 fn scripted_batches() -> Vec<Vec<GraphUpdate>> {
     vec![
         vec![GraphUpdate::insert_named("tim", "knows", "zoe")],
@@ -93,6 +96,13 @@ fn scripted_batches() -> Vec<Vec<GraphUpdate>> {
             GraphUpdate::delete_named("zan", "knows", "tim"),
         ],
         vec![GraphUpdate::insert_named("jan", "knows", "zoe")],
+        vec![
+            GraphUpdate::insert_named("tim", "mentors", "kim"),
+            GraphUpdate::delete_named("tim", "mentors", "kim"),
+            GraphUpdate::insert_named("zan", "knows", "tim"),
+            GraphUpdate::insert_named("zoe", "knows", "zoe"),
+            GraphUpdate::insert_named("bea", "mentors", "ada"),
+        ],
     ]
 }
 
