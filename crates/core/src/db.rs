@@ -1427,12 +1427,9 @@ impl PathDb {
                 report.begin("counting-index/paged");
                 match paged.counted_entries() {
                     Ok(persisted) => {
-                        let same = table.entry_count() == persisted.len()
-                            && table.entries().zip(&persisted).all(
-                                |((key, count), (p_key, p_count))| {
-                                    key == p_key.as_slice() && count == *p_count
-                                },
-                            );
+                        let same = table.entries().eq(persisted
+                            .iter()
+                            .map(|(key, count)| (key.as_slice(), *count)));
                         report.check("table-matches-pages", "writer", same, || {
                             format!(
                                 "the writer's {} walk counts differ from the {} the page file \
