@@ -1797,6 +1797,37 @@ mod tests {
     }
 
     #[test]
+    fn empty_tree() {
+        // An empty tree stays empty through every scan, a snapshot, a
+        // delete of a missing key, and a flush and reopen.
+        let dir = std::env::temp_dir().join(format!("pathix-pbt-empty-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("tree.pages");
+        {
+            let pool = BufferPool::new(crate::DiskManager::create(&path).unwrap(), 4);
+            let mut tree = PagedBTree::create(pool).unwrap();
+            assert_eq!(tree.delete(b"missing").unwrap(), None);
+            assert_eq!(tree.range(b"", None).unwrap().count(), 0);
+            assert_eq!(tree.scan_prefix(b"key-").unwrap().count(), 0);
+            let snap = tree.share();
+            assert!(snap.is_empty());
+            assert_eq!(snap.iter().unwrap().count(), 0);
+            drop(snap);
+            tree.flush().unwrap();
+        }
+        {
+            let pool = BufferPool::new(crate::DiskManager::open(&path).unwrap(), 4);
+            let tree = PagedBTree::open(pool).unwrap();
+            assert!(tree.is_empty());
+            assert_eq!(tree.len(), 0);
+            assert_eq!(tree.get(b"missing").unwrap(), None);
+            assert_eq!(tree.iter().unwrap().count(), 0);
+            tree.check_invariants().unwrap();
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn insert_get_and_overwrite() {
         let mut tree = PagedBTree::create(BufferPool::in_memory(16)).unwrap();
         assert_eq!(tree.insert(b"b".to_vec(), b"2".to_vec()).unwrap(), None);
