@@ -27,12 +27,12 @@
 //! * **memory** — the key deltas rebuild only the touched chunks of the
 //!   structurally-shared [`SharedKPathIndex`]; everything untouched is
 //!   re-shared behind `Arc`s, and old epochs keep theirs;
-//! * **paged / on-disk** — the key deltas become B+tree inserts/deletes with
-//!   page splits, merges and free-list recycling, written back through the
-//!   buffer pool after every batch; pages a published snapshot can reach are
-//!   **copy-on-write** — the writer relocates instead of overwriting them and
-//!   reclaims superseded pages only after the snapshot dies (see
-//!   [`PagedPathIndex::reader_view`]);
+//! * **paged / on-disk** — the key deltas become one sorted B+tree batch,
+//!   applied leaf by leaf with page splits, merges and free-list recycling,
+//!   written back through the buffer pool after every batch; pages a
+//!   published snapshot can reach are **copy-on-write** — the writer
+//!   relocates instead of overwriting them and reclaims superseded pages
+//!   only after the snapshot dies (see [`PagedPathIndex::reader_view`]);
 //! * **compressed** — the key deltas land in per-path overlay side-tables
 //!   that scans merge on the fly, compacted into block rewrites past
 //!   [`PathDbConfig::compressed_compaction_threshold`]; blocks are shared
@@ -60,6 +60,7 @@ use pathix_rpq::{parse, to_disjuncts, BoundExpr, LabelPath, RewriteOptions};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
+use std::time::{Duration, Instant};
 
 /// Which storage backend serves the k-path index of a [`PathDb`].
 ///
@@ -393,6 +394,53 @@ pub struct UpdateStats {
     /// Whether the histogram was rebuilt under the configured
     /// [`HistogramRefresh`] policy.
     pub histogram_refreshed: bool,
+    /// Where the batch spent its time, phase by phase.
+    pub phases: ApplyPhases,
+}
+
+/// Where one [`PathDb::apply`] batch spent its time. The phases run back to
+/// back, so their sum is the batch's wall time except for acquiring the
+/// writer lock. A phase the batch skips reads as (close to) zero: the log
+/// off disk, the checkpoint between cadence points, and everything after
+/// the count for a no-op batch.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ApplyPhases {
+    /// Validating the batch, interning new names, and seeding the walk-count
+    /// table on the first write after a build or open.
+    pub prepare: Duration,
+    /// Committing the batch to the graph and the counting pass over its net
+    /// change set.
+    pub count: Duration,
+    /// Appending the commit record to the write-ahead log and syncing it
+    /// (on-disk backend).
+    pub log: Duration,
+    /// Absorbing the key deltas into the backend (with the page flush on
+    /// the paged backends), refreshing the histogram when due, and
+    /// publishing the new snapshot.
+    pub publish: Duration,
+    /// Writing a graph checkpoint and truncating the log, on the batches
+    /// the checkpoint cadence picks.
+    pub checkpoint: Duration,
+}
+
+impl ApplyPhases {
+    /// The sum of all phases.
+    pub fn total(&self) -> Duration {
+        self.prepare + self.count + self.log + self.publish + self.checkpoint
+    }
+}
+
+/// Splits elapsed time into back-to-back phases.
+struct Lap(Instant);
+
+impl Lap {
+    /// Time since the previous lap (or the start), restarting the clock.
+    fn next(&mut self) -> Duration {
+        let now = Instant::now();
+        let elapsed = now.duration_since(self.0);
+        self.0 = now;
+        elapsed
+    }
 }
 
 /// The immutable state one database epoch published: graph, index backend and
@@ -1071,6 +1119,8 @@ impl PathDb {
         if let Some(e) = &live.failed {
             return Err(QueryError::Backend(e.clone()));
         }
+        let mut lap = Lap(Instant::now());
+        let mut phases = ApplyPhases::default();
         let current = self.snapshot();
         // Phase 1: validate the whole batch before touching any state.
         for update in updates {
@@ -1099,6 +1149,7 @@ impl PathDb {
             },
         };
         let table = live_state.table.insert(table);
+        phases.prepare = lap.next();
 
         // Phase 3: graph first, then one counting pass over its net change
         // set. The new epoch re-shares untouched labels and chunks by
@@ -1118,6 +1169,7 @@ impl PathDb {
         let no_ops = updates.len() as u64 - inserted - deleted;
         let vocab_grew = graph.node_count() != current.graph().node_count()
             || graph.label_count() != current.graph().label_count();
+        phases.count = lap.next();
         if changes.is_empty() && !vocab_grew {
             // The whole batch was a no-op: nothing changed, nothing to
             // publish, plans stay valid.
@@ -1128,6 +1180,7 @@ impl PathDb {
                 delta_entries: 0,
                 epoch: current.epoch(),
                 histogram_refreshed: false,
+                phases,
             });
         }
 
@@ -1139,16 +1192,6 @@ impl PathDb {
         let refresh = match self.config.histogram_refresh {
             HistogramRefresh::EveryUpdates(n) => pending_updates >= n.max(1),
             HistogramRefresh::Manual => false,
-        };
-        let histogram = if refresh {
-            Arc::new(PathHistogram::build(
-                table.per_path_counts(),
-                table.paths_k_size(),
-                self.config.k,
-                self.config.estimation,
-            ))
-        } else {
-            current.histogram_arc()
         };
 
         // Durability (on-disk backend): the commit record — interned names,
@@ -1179,9 +1222,21 @@ impl PathDb {
             }
         }
 
+        phases.log = lap.next();
+
         // Publish. The counting pass ran once above; each backend now absorbs
         // the same key transitions its own way — in O(Δ), never by
         // rebuilding the whole index.
+        let histogram = if refresh {
+            Arc::new(PathHistogram::build(
+                table.per_path_counts(),
+                table.paths_k_size(),
+                self.config.k,
+                self.config.estimation,
+            ))
+        } else {
+            current.histogram_arc()
+        };
         let batch = table.delta_batch(&live_state.deltas, &changes, seq);
         let backend = match live_state.writer.publish(&batch) {
             Ok(backend) => backend,
@@ -1204,6 +1259,7 @@ impl PathDb {
             .write()
             .unwrap_or_else(|poisoned| poisoned.into_inner()) =
             Snapshot::new(Arc::clone(&graph), Arc::new(backend), histogram, epoch);
+        phases.publish = lap.next();
 
         // Checkpoint cadence: fold the log into a fresh graph checkpoint and
         // truncate it. The batch itself is already committed (logged,
@@ -1227,6 +1283,7 @@ impl PathDb {
             live_state.failed = Some(e.clone());
             return Err(QueryError::Backend(e));
         }
+        phases.checkpoint = lap.next();
         Ok(UpdateStats {
             inserted,
             deleted,
@@ -1234,6 +1291,7 @@ impl PathDb {
             delta_entries: live_state.deltas.len() as u64,
             epoch,
             histogram_refreshed: refresh,
+            phases,
         })
     }
 
@@ -2320,6 +2378,59 @@ mod tests {
         // Read paths recover the data behind the poisoned locks instead of
         // propagating the panic.
         assert!(db.query("supervisor/worksFor-").is_ok());
+        assert!(db.audit().is_clean());
+    }
+
+    #[test]
+    fn apply_phases_sum_to_the_wall_time_of_on_disk_batches() {
+        let _disk = DISK_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        let dir = TempDir::new("apply-phases");
+        let config = PathDbConfig::with_k(2)
+            .with_backend(BackendChoice::OnDisk {
+                path: dir.path("idx.pages"),
+                pool_frames: 32,
+            })
+            .with_wal_checkpoint_every(4);
+        let db = PathDb::empty(config).unwrap();
+        let (mut wall, mut phased) = (Duration::ZERO, Duration::ZERO);
+        let (mut checkpoints, mut skipped) = (Duration::MAX, Duration::ZERO);
+        for batch in 0..8u32 {
+            // 48 named edges over a growing node set, three labels.
+            let updates: Vec<GraphUpdate> = (0..48u32)
+                .map(|i| {
+                    let (src, dst) = (batch * 48 + i, (batch * 48 + i * 7) / 3);
+                    let label = ["knows", "likes", "cites"][(i % 3) as usize];
+                    GraphUpdate::insert_named(format!("n{src}"), label, format!("n{dst}"))
+                })
+                .collect();
+            let started = Instant::now();
+            let stats = db.apply(&updates).unwrap();
+            let elapsed = started.elapsed();
+            let phases = stats.phases;
+            assert!(stats.inserted >= 32, "batch {batch}: {stats:?}");
+            assert!(
+                phases.total() <= elapsed,
+                "batch {batch}: {phases:?} vs {elapsed:?}"
+            );
+            assert!(phases.count > Duration::ZERO, "batch {batch}: {phases:?}");
+            assert!(phases.log > Duration::ZERO, "batch {batch}: {phases:?}");
+            assert!(phases.publish > Duration::ZERO, "batch {batch}: {phases:?}");
+            // The cadence checkpoints after every fourth batch only.
+            if batch % 4 == 3 {
+                checkpoints = checkpoints.min(phases.checkpoint);
+            } else {
+                skipped = skipped.max(phases.checkpoint);
+            }
+            wall += elapsed;
+            phased += phases.total();
+        }
+        // Summed over the batches, so one preemption between the caller's
+        // clock and the writer's cannot decide the check.
+        assert!(
+            phased.as_secs_f64() >= 0.9 * wall.as_secs_f64(),
+            "phases {phased:?} cover less than 90% of the wall time {wall:?}"
+        );
+        assert!(checkpoints > skipped, "{checkpoints:?} vs {skipped:?}");
         assert!(db.audit().is_clean());
     }
 

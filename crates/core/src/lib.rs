@@ -52,8 +52,8 @@ pub mod session;
 pub use cache::PlanCacheStats;
 pub use cursor::Cursor;
 pub use db::{
-    BackendChoice, DbStats, HistogramRefresh, IndexBackend, PathDb, PathDbConfig, Snapshot,
-    StorageStats, UpdateStats,
+    ApplyPhases, BackendChoice, DbStats, HistogramRefresh, IndexBackend, PathDb, PathDbConfig,
+    Snapshot, StorageStats, UpdateStats,
 };
 pub use error::QueryError;
 pub use options::QueryOptions;

@@ -319,7 +319,7 @@ pub enum EntryChange {
 /// The counting pass of [`crate::IncrementalKPathIndex::apply_batch`]
 /// produces this log **once** per batch, with at most one transition and one
 /// count per key; every storage backend then replays the same log against
-/// its own representation — B+tree key inserts/deletes for the paged index,
+/// its own representation — one sorted B+tree batch for the paged index,
 /// overlay entries for the compressed store, chunk rebuilds in memory.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EntryDeltas {
@@ -344,6 +344,12 @@ impl EntryDeltas {
     /// values (the paged tree) and the write-ahead log can replay the batch to
     /// the exact post-batch counts. Ordered replay ends at the final value,
     /// which makes replay idempotent.
+    ///
+    /// Keys must be recorded in strictly ascending order, each at most once
+    /// per batch — the order [`crate::IncrementalKPathIndex::apply_batch`]
+    /// produces. The paged backend absorbs [`EntryDeltas::counts`] as one
+    /// sorted B+tree batch, and it and write-ahead-log replay reject a list
+    /// that breaks this order.
     pub fn record_count(&mut self, key: &[u8], new_count: u64) {
         self.counts.push((key.to_vec(), new_count));
     }
@@ -353,7 +359,8 @@ impl EntryDeltas {
         &self.ops
     }
 
-    /// The recorded absolute-count writes, oldest first (0 = key removed).
+    /// The recorded absolute-count writes, oldest first (0 = key removed):
+    /// strictly ascending by key (see [`EntryDeltas::record_count`]).
     pub fn counts(&self) -> &[(Vec<u8>, u64)] {
         &self.counts
     }
@@ -380,7 +387,8 @@ impl EntryDeltas {
 /// table that produced them.
 #[derive(Debug, Clone, Copy)]
 pub struct DeltaBatch<'a> {
-    /// Ordered `⟨p, a, b⟩` key transitions of the batch.
+    /// The `⟨p, a, b⟩` key transitions and absolute counts of the batch; its
+    /// [`EntryDeltas::counts`] are strictly ascending by key.
     pub deltas: &'a EntryDeltas,
     /// Exact per-path distinct-pair cardinalities after the batch, sorted by
     /// `(length, path)`.

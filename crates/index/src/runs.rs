@@ -630,6 +630,7 @@ impl PathIndexBackend for SharedKPathIndex {
         source: NodeId,
         target: NodeId,
     ) -> BackendResult<bool> {
+        check_scan_path(self.backend_name(), self.k, path)?;
         Ok(SharedKPathIndex::contains(self, path, source, target))
     }
 
@@ -984,6 +985,17 @@ mod tests {
         let index = SharedKPathIndex::build(&g, 1);
         let knows = sl(&g, "knows", false);
         assert!(PathIndexBackend::scan_path(&index, &[knows, knows]).is_err());
+    }
+
+    #[test]
+    fn contains_checks_the_scan_path_contract() {
+        let g = paper_example_graph();
+        let index = SharedKPathIndex::build(&g, 1);
+        let knows = sl(&g, "knows", false);
+        let (a, b) = naive_path_eval(&g, &[knows])[0];
+        assert!(PathIndexBackend::contains(&index, &[knows], a, b).unwrap());
+        assert!(PathIndexBackend::contains(&index, &[], a, b).is_err());
+        assert!(PathIndexBackend::contains(&index, &[knows, knows], a, b).is_err());
     }
 
     #[test]

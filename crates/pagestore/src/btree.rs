@@ -16,13 +16,22 @@
 //!   `(k, c)` routes keys `≥ k` (and smaller than the following cell's key)
 //!   to child `c`.
 //!
-//! Structural changes rewrite whole nodes (read cells → modify → compact
-//! rewrite), which keeps the split logic simple and pages always compacted.
-//! Inserts split overflowing leaves and internal nodes top-down; deletes
-//! merge or rebalance underflowing nodes bottom-up (freed pages go onto a
-//! free list threaded through the meta page and are reused by later splits),
-//! so a live, update-heavy index neither leaks pages nor degrades into
-//! half-empty chains.
+//! Every mutation goes through one path, [`PagedBTree::apply_sorted`],
+//! which absorbs a sorted batch of key changes one leaf at a time:
+//! [`PagedBTree::insert`] and [`PagedBTree::delete`] are one-entry batches.
+//! One descent per leaf tracks the leaf's upper fence key, so every
+//! following key below the fence joins the same group. The group is merged
+//! into the leaf's cells in one pass over the page bytes and written back
+//! with one compacting rewrite, so pages always stay compacted. A result
+//! that overflows is split into as many balanced pages as it needs, and all
+//! the new separators go into the parent in one rewrite, cascading up. A
+//! leaf that deletions left underfull is merged with, or borrows from, a
+//! sibling, cascading merges up (freed pages go onto a free list threaded
+//! through the meta page and are reused by later splits), so a live,
+//! update-heavy index neither leaks pages nor degrades into half-empty
+//! chains. Internal nodes are never decoded on this path: routing
+//! binary-searches the slotted cells on the page bytes, and a relocated
+//! child id is patched in place — four bytes — in its parent.
 //!
 //! ## Page-level copy-on-write and snapshots
 //!
@@ -36,7 +45,8 @@
 //! them — so a snapshot keeps answering bit-identically no matter how many
 //! batches the writer absorbs after it, at a cost proportional to the pages
 //! the writer actually dirties. With no snapshots alive the tree mutates in
-//! place exactly as before: copy-on-write is pay-as-you-go.
+//! place exactly as before: copy-on-write is pay-as-you-go. A parent
+//! relocated only to take a patched child id is copied as raw page bytes.
 //!
 //! Leaves are deliberately **not** chained through sibling pointers (a
 //! relocated leaf cannot update its predecessor without cascading copies);
@@ -76,8 +86,9 @@ const META_OFF_FREE: usize = 32;
 /// the write-ahead log replays only records newer than this on reopen.
 const META_OFF_SEQ: usize = 40;
 
-/// Largest key + value payload accepted by [`PagedBTree::insert`]; guarantees
-/// that any page can hold at least four cells, so splits always succeed.
+/// Largest key + value payload accepted by [`PagedBTree::apply_sorted`];
+/// guarantees that any page can hold at least four cells, so splits always
+/// succeed.
 pub const MAX_ENTRY_SIZE: usize = (PAGE_SIZE - slotted::HEADER_SIZE) / 4 - slotted::SLOT_SIZE - 4;
 
 /// A node whose occupied bytes fall below this threshold after a deletion is
@@ -515,13 +526,33 @@ impl PagedBTree {
     /// fresh page — the caller rewrites the full node there and must
     /// propagate the relocation to the parent. The old version is retired.
     fn cow_target(&mut self, pid: PageId) -> io::Result<PageId> {
-        if self.fresh.contains(&pid.0) || !self.snapshots.has_pins() {
+        if self.writable_in_place(pid) {
             return Ok(pid);
         }
         let target = self.alloc_page()?;
         self.retire_page(pid)?;
         self.snapshots.page_copies.fetch_add(1, Ordering::Relaxed);
         Ok(target)
+    }
+
+    /// [`PagedBTree::cow_target`] for a node that is patched rather than
+    /// rewritten: a relocated version starts as a raw copy of the old page
+    /// bytes.
+    fn cow_copy(&mut self, pid: PageId) -> io::Result<PageId> {
+        if self.writable_in_place(pid) {
+            return Ok(pid);
+        }
+        let bytes = self.read_raw(pid)?;
+        let target = self.cow_target(pid)?;
+        self.pool
+            .with_page_mut(target, |p| p.copy_from_slice(&bytes))?;
+        Ok(target)
+    }
+
+    /// `true` when no snapshot can reference this version of `pid`: it was
+    /// written fresh this epoch, or no snapshot is alive.
+    fn writable_in_place(&self, pid: PageId) -> bool {
+        self.fresh.contains(&pid.0) || !self.snapshots.has_pins()
     }
 
     /// Number of pages parked as retired (awaiting snapshot death).
@@ -629,52 +660,25 @@ impl PagedBTree {
     }
 
     // ------------------------------------------------------------------
-    // Cell encoding
+    // Node access
     // ------------------------------------------------------------------
 
-    fn encode_leaf_cell(key: &[u8], value: &[u8]) -> Vec<u8> {
-        let mut cell = Vec::with_capacity(4 + key.len() + value.len());
-        cell.extend_from_slice(&(key.len() as u16).to_le_bytes());
-        cell.extend_from_slice(key);
-        cell.extend_from_slice(&(value.len() as u16).to_le_bytes());
-        cell.extend_from_slice(value);
-        cell
-    }
-
-    fn decode_leaf_cell(cell: &[u8]) -> (Vec<u8>, Vec<u8>) {
-        let klen = u16::from_le_bytes([cell[0], cell[1]]) as usize;
-        let key = cell[2..2 + klen].to_vec();
-        let voff = 2 + klen;
-        let vlen = u16::from_le_bytes([cell[voff], cell[voff + 1]]) as usize;
-        let value = cell[voff + 2..voff + 2 + vlen].to_vec();
-        (key, value)
-    }
-
-    fn encode_internal_cell(key: &[u8], child: PageId) -> Vec<u8> {
-        let mut cell = Vec::with_capacity(6 + key.len());
-        cell.extend_from_slice(&(key.len() as u16).to_le_bytes());
-        cell.extend_from_slice(key);
-        cell.extend_from_slice(&child.0.to_le_bytes());
-        cell
-    }
-
-    fn decode_internal_cell(cell: &[u8]) -> (Vec<u8>, PageId) {
-        let klen = u16::from_le_bytes([cell[0], cell[1]]) as usize;
-        let key = cell[2..2 + klen].to_vec();
-        let off = 2 + klen;
-        let child = u32::from_le_bytes([cell[off], cell[off + 1], cell[off + 2], cell[off + 3]]);
-        (key, PageId(child))
-    }
-
+    /// Decodes a leaf into owned entries, for scans and audits; the mutation
+    /// path works on the page bytes instead.
     fn read_leaf(&self, pid: PageId) -> io::Result<Vec<LeafEntry>> {
         self.pool.with_page(pid, |p| {
             debug_assert_eq!(slotted::kind(p), slotted::KIND_LEAF, "{pid} is not a leaf");
             (0..slotted::cell_count(p))
-                .map(|i| Self::decode_leaf_cell(slotted::cell(p, i)))
+                .map(|i| {
+                    let cell = slotted::cell(p, i);
+                    (cell_key(cell).to_vec(), leaf_value(cell).to_vec())
+                })
                 .collect()
         })
     }
 
+    /// Decodes an internal node into owned cells, for audits and invariant
+    /// checks; the mutation path never does this.
     fn read_internal(&self, pid: PageId) -> io::Result<(Vec<InternalCell>, PageId)> {
         self.pool.with_page(pid, |p| {
             debug_assert_eq!(
@@ -683,82 +687,56 @@ impl PagedBTree {
                 "{pid} is not an internal node"
             );
             let cells = (0..slotted::cell_count(p))
-                .map(|i| Self::decode_internal_cell(slotted::cell(p, i)))
+                .map(|i| {
+                    let cell = slotted::cell(p, i);
+                    (cell_key(cell).to_vec(), cell_child(cell))
+                })
                 .collect();
             (cells, PageId(slotted::next(p)))
         })
     }
 
-    fn write_leaf(&self, pid: PageId, entries: &[(Vec<u8>, Vec<u8>)]) -> io::Result<()> {
-        let cells: Vec<Vec<u8>> = entries
-            .iter()
-            .map(|(k, v)| Self::encode_leaf_cell(k, v))
-            .collect();
-        self.pool.with_page_mut(pid, |p| {
-            slotted::rewrite(p, slotted::KIND_LEAF, u32::MAX, &cells)
-        })
+    /// A copy of page `pid`'s raw bytes.
+    fn read_raw(&self, pid: PageId) -> io::Result<Vec<u8>> {
+        self.pool.with_page(pid, <[u8]>::to_vec)
     }
 
-    fn write_internal(
-        &self,
-        pid: PageId,
-        cells: &[(Vec<u8>, PageId)],
-        leftmost: PageId,
-    ) -> io::Result<()> {
-        let encoded: Vec<Vec<u8>> = cells
-            .iter()
-            .map(|(k, c)| Self::encode_internal_cell(k, *c))
-            .collect();
-        self.pool.with_page_mut(pid, |p| {
-            slotted::rewrite(p, slotted::KIND_INTERNAL, leftmost.0, &encoded)
-        })
+    /// Rewrites page `pid` as a compacted node of `kind` holding `cells`;
+    /// `next` is an internal node's leftmost child.
+    fn write_cells(&self, pid: PageId, kind: u16, next: PageId, cells: &[&[u8]]) -> io::Result<()> {
+        self.pool
+            .with_page_mut(pid, |p| slotted::rewrite(p, kind, next.0, cells))
+    }
+
+    /// Issues buffer-pool read-ahead for `pids` (see [`upcoming_leaves`]).
+    /// Best effort: errors surface on the demand read.
+    fn prefetch(&self, pids: &[PageId]) {
+        if !pids.is_empty() {
+            self.pool.prefetch(pids);
+        }
     }
 
     // ------------------------------------------------------------------
     // Search
     // ------------------------------------------------------------------
 
-    /// The child at `ordinal` of an internal node's cell list: ordinal 0 is
-    /// the leftmost child, `j ≥ 1` is cell `j - 1`'s child.
-    fn child_at(cells: &[InternalCell], leftmost: PageId, ordinal: usize) -> PageId {
-        if ordinal == 0 {
-            leftmost
-        } else {
-            cells[ordinal - 1].1
-        }
-    }
-
-    /// Routes `key` one level down from an internal node's cell list,
-    /// returning the chosen child's ordinal and page — the single source of
-    /// truth for separator semantics (point lookups and range scans must
-    /// descend identically).
-    fn route(cells: &[InternalCell], leftmost: PageId, key: &[u8]) -> (usize, PageId) {
-        // partition_point: number of cells whose key is <= search key.
-        let ordinal = cells.partition_point(|(k, _)| k.as_slice() <= key);
-        (ordinal, Self::child_at(cells, leftmost, ordinal))
-    }
-
-    /// Descends from the root to the leaf that owns `key`, recording the
-    /// internal pages visited (for split propagation).
-    fn descend(&self, key: &[u8]) -> io::Result<(PageId, Vec<PageId>)> {
-        let mut path = Vec::with_capacity(self.height as usize);
+    /// Descends from the root to the leaf that owns `key`.
+    fn descend(&self, key: &[u8]) -> io::Result<PageId> {
         let mut current = self.root;
         for _ in 1..self.height {
-            path.push(current);
-            let (cells, leftmost) = self.read_internal(current)?;
-            current = Self::route(&cells, leftmost, key).1;
+            current = self.pool.with_page(current, |p| route(p, key).1)?;
         }
-        Ok((current, path))
+        Ok(current)
     }
 
     /// Point lookup.
     pub fn get(&self, key: &[u8]) -> io::Result<Option<Vec<u8>>> {
-        let (leaf, _) = self.descend(key)?;
-        let entries = self.read_leaf(leaf)?;
-        Ok(entries
-            .binary_search_by(|(k, _)| k.as_slice().cmp(key))
-            .ok()
-            .map(|i| entries[i].1.clone()))
+        let leaf = self.descend(key)?;
+        self.pool.with_page(leaf, |p| {
+            leaf_search(p, key)
+                .ok()
+                .map(|i| leaf_value(slotted::cell(p, i)).to_vec())
+        })
     }
 
     /// `true` when `key` is present.
@@ -767,202 +745,266 @@ impl PagedBTree {
     }
 
     // ------------------------------------------------------------------
-    // Insert / delete
+    // Mutation: sorted batches, one leaf at a time
     // ------------------------------------------------------------------
 
     /// Inserts `key → value`, returning the previous value if the key was
-    /// already present.
+    /// already present: a one-entry [`PagedBTree::apply_sorted`].
     ///
-    /// # Panics
-    /// Panics if `key.len() + value.len()` exceeds [`MAX_ENTRY_SIZE`].
+    /// Fails with [`io::ErrorKind::InvalidInput`] if `key.len() +
+    /// value.len()` exceeds [`MAX_ENTRY_SIZE`].
     pub fn insert(&mut self, key: Vec<u8>, value: Vec<u8>) -> io::Result<Option<Vec<u8>>> {
-        assert!(
-            key.len() + value.len() <= MAX_ENTRY_SIZE,
-            "entry of {} bytes exceeds MAX_ENTRY_SIZE ({MAX_ENTRY_SIZE})",
-            key.len() + value.len()
-        );
-        let (leaf, mut path) = self.descend(&key)?;
-        let mut entries = self.read_leaf(leaf)?;
-        let previous = match entries.binary_search_by(|(k, _)| k.as_slice().cmp(&key)) {
-            Ok(i) => Some(std::mem::replace(&mut entries[i].1, value)),
-            Err(i) => {
-                entries.insert(i, (key, value));
-                None
-            }
-        };
-
-        let size = slotted::required_size(entries.iter().map(|(k, v)| 4 + k.len() + v.len()));
-        if size <= PAGE_SIZE {
-            let target = self.cow_target(leaf)?;
-            self.write_leaf(target, &entries)?;
-            self.fix_parents(&mut path, leaf, target)?;
-        } else {
-            // Split the leaf in half; the separator is the right sibling's
-            // first key.
-            let mid = entries.len() / 2;
-            let right_entries = entries.split_off(mid);
-            let right_pid = self.alloc_page()?;
-            let separator = right_entries[0].0.clone();
-            self.write_leaf(right_pid, &right_entries)?;
-            let target = self.cow_target(leaf)?;
-            self.write_leaf(target, &entries)?;
-            self.insert_into_parent(path, leaf, target, separator, right_pid)?;
-        }
-
-        if previous.is_none() {
-            self.entries += 1;
-        }
-        // The meta page is deliberately NOT updated here: it must only be
-        // dirtied inside `try_flush`, after the data pages are written and
-        // synced, or an eviction (or flush phase one) could persist a root
-        // that points at pages not yet on disk. See `enable_durable_writeback`.
+        let previous = self.get(&key)?;
+        self.apply_sorted(&[(key, Some(value))])?;
         Ok(previous)
     }
 
-    /// Replaces the child pointer `old → new` in the recorded ancestor
-    /// `path`, bottom-up, copy-on-writing each rewritten ancestor (which may
-    /// relocate it in turn). Relocated ancestors are rewritten inside `path`
-    /// so callers can keep using it; a relocated root updates
-    /// [`PagedBTree::root`]. A no-op when `old == new`.
-    fn fix_parents(
+    /// Removes `key`, returning its value if it was present: a one-entry
+    /// [`PagedBTree::apply_sorted`].
+    pub fn delete(&mut self, key: &[u8]) -> io::Result<Option<Vec<u8>>> {
+        let previous = self.get(key)?;
+        self.apply_sorted(&[(key, None::<&[u8]>)])?;
+        Ok(previous)
+    }
+
+    /// Applies a batch of key changes whose keys are strictly ascending:
+    /// `Some(value)` inserts or overwrites, `None` deletes (an absent key is
+    /// skipped).
+    ///
+    /// The batch is absorbed one leaf at a time. One descent finds the leaf
+    /// of the next key and its upper fence (the nearest separator above the
+    /// key on the way down), and every following key below the fence joins
+    /// that leaf's group. The group is merged into the leaf's cells in one
+    /// pass over the page bytes and stored with one copy-on-write rewrite:
+    /// an overflowing result is split into as many balanced pages as it
+    /// needs, and a leaf that lost entries and fell below [`MIN_FILL`] is
+    /// merged with, or borrows from, a sibling. A group that changes nothing
+    /// writes nothing. The meta page is not written here; see
+    /// [`PagedBTree::flush`].
+    ///
+    /// Fails with [`io::ErrorKind::InvalidInput`], before any page is
+    /// touched, when the keys are not strictly ascending or an entry exceeds
+    /// [`MAX_ENTRY_SIZE`].
+    pub fn apply_sorted<K: AsRef<[u8]>, V: AsRef<[u8]>>(
         &mut self,
-        path: &mut [PageId],
-        mut old: PageId,
-        mut new: PageId,
+        batch: &[(K, Option<V>)],
     ) -> io::Result<()> {
-        let mut level = path.len();
-        while old != new {
-            if level == 0 {
-                self.root = new;
-                return Ok(());
-            }
-            level -= 1;
-            let parent = path[level];
-            let (mut cells, mut leftmost) = self.read_internal(parent)?;
-            if leftmost == old {
-                leftmost = new;
-            } else if let Some(cell) = cells.iter_mut().find(|(_, c)| *c == old) {
-                cell.1 = new;
-            } else {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("relocated child {old} not found under {parent}"),
-                ));
-            }
-            let target = self.cow_target(parent)?;
-            self.write_internal(target, &cells, leftmost)?;
-            path[level] = target;
-            old = parent;
-            new = target;
+        check_ascending(batch.iter().map(|(k, _)| k.as_ref()))?;
+        let oversized = batch.iter().find_map(|(k, v)| {
+            let size = k.as_ref().len() + v.as_ref()?.as_ref().len();
+            (size > MAX_ENTRY_SIZE).then_some(size)
+        });
+        if let Some(size) = oversized {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("entry of {size} bytes exceeds MAX_ENTRY_SIZE ({MAX_ENTRY_SIZE})"),
+            ));
+        }
+        let mut path = Vec::with_capacity(self.height as usize);
+        let mut fence = Vec::new();
+        let mut merged = CellBuf::default();
+        let mut start = 0;
+        while start < batch.len() {
+            let (leaf, bounded) =
+                self.descend_for_write(batch[start].0.as_ref(), &mut path, &mut fence)?;
+            // The first key routed here, so the group is never empty.
+            let group = batch[start..]
+                .partition_point(|(k, _)| !bounded || k.as_ref() < fence.as_slice())
+                .max(1);
+            self.apply_to_leaf(&mut path, leaf, &batch[start..start + group], &mut merged)?;
+            start += group;
+        }
+        // No meta write here: the meta page must only be dirtied inside
+        // `try_flush`, after the data pages are written and synced, or an
+        // eviction (or flush phase one) could persist a root that points at
+        // pages not yet on disk. See `enable_durable_writeback`.
+        Ok(())
+    }
+
+    /// Descends to the leaf that owns `key`, recording every internal page
+    /// and the child ordinal taken in `path`, and the leaf's upper fence in
+    /// `fence`. Returns the leaf and whether it has a fence at all (the
+    /// rightmost leaf has none).
+    fn descend_for_write(
+        &self,
+        key: &[u8],
+        path: &mut Vec<(PageId, usize)>,
+        fence: &mut Vec<u8>,
+    ) -> io::Result<(PageId, bool)> {
+        path.clear();
+        let mut bounded = false;
+        let mut current = self.root;
+        for _ in 1..self.height {
+            let (ordinal, child) = self.pool.with_page(current, |p| {
+                let (ordinal, child) = route(p, key);
+                // A separator right of the chosen child bounds it; a lower
+                // level's bound is always the tighter one.
+                if ordinal < slotted::cell_count(p) {
+                    fence.clear();
+                    fence.extend_from_slice(cell_key(slotted::cell(p, ordinal)));
+                    bounded = true;
+                }
+                (ordinal, child)
+            })?;
+            path.push((current, ordinal));
+            current = child;
+        }
+        Ok((current, bounded))
+    }
+
+    /// Merges one leaf group into `leaf` (whose ancestors are `path`) and
+    /// stores the result, rebalancing the leaf when the group's deletions
+    /// left it below [`MIN_FILL`].
+    fn apply_to_leaf<K: AsRef<[u8]>, V: AsRef<[u8]>>(
+        &mut self,
+        path: &mut [(PageId, usize)],
+        leaf: PageId,
+        group: &[(K, Option<V>)],
+        merged: &mut CellBuf,
+    ) -> io::Result<()> {
+        merged.clear();
+        let (inserted, removed, changed) = self
+            .pool
+            .with_page(leaf, |p| merge_into_leaf(p, group, merged))?;
+        if !changed {
+            return Ok(());
+        }
+        self.entries = self.entries + inserted - removed;
+        let cells = merged.cells();
+        let size = slotted::required_size(cells.iter().map(|c| c.len()));
+        let stored = self.store_node(path, leaf, slotted::KIND_LEAF, PageId::INVALID, &cells)?;
+        if removed > 0 && size < MIN_FILL && !path.is_empty() {
+            self.rebalance(path, stored)?;
         }
         Ok(())
     }
 
-    /// Propagates a split: `(separator, new_right)` must be inserted into the
-    /// parent of the split node (whose pre-split id was `left_old`, possibly
-    /// relocated to `left_new` by copy-on-write), splitting ancestors up to
-    /// the root as needed.
-    fn insert_into_parent(
-        &mut self,
-        mut path: Vec<PageId>,
-        left_old: PageId,
-        left_new: PageId,
-        separator: Vec<u8>,
-        right: PageId,
-    ) -> io::Result<()> {
-        let mut left_old = left_old;
-        let mut left_new = left_new;
-        let mut separator = separator;
-        let mut right = right;
-        loop {
-            let Some(parent) = path.pop() else {
-                // The root itself split: grow the tree by one level.
-                let new_root = self.alloc_page()?;
-                self.write_internal(new_root, &[(separator, right)], left_new)?;
-                self.root = new_root;
-                self.height += 1;
-                return Ok(());
-            };
-            let (mut cells, mut leftmost) = self.read_internal(parent)?;
-            if left_old != left_new {
-                if leftmost == left_old {
-                    leftmost = left_new;
-                } else if let Some(cell) = cells.iter_mut().find(|(_, c)| *c == left_old) {
-                    cell.1 = left_new;
-                }
-            }
-            let idx = cells.partition_point(|(k, _)| k.as_slice() <= separator.as_slice());
-            cells.insert(idx, (separator.clone(), right));
-
-            let size = slotted::required_size(cells.iter().map(|(k, _)| 6 + k.len()));
-            if size <= PAGE_SIZE {
-                let target = self.cow_target(parent)?;
-                self.write_internal(target, &cells, leftmost)?;
-                return self.fix_parents(&mut path, parent, target);
-            }
-            // Split the internal node: the middle key moves up, it does not
-            // stay in either half (B+tree internal split).
-            let mid = cells.len() / 2;
-            let mut right_cells = cells.split_off(mid);
-            let (promoted, right_leftmost) = right_cells.remove(0);
-            let right_pid = self.alloc_page()?;
-            self.write_internal(right_pid, &right_cells, right_leftmost)?;
-            let target = self.cow_target(parent)?;
-            self.write_internal(target, &cells, leftmost)?;
-            left_old = parent;
-            left_new = target;
-            separator = promoted;
-            right = right_pid;
-        }
-    }
-
-    /// Removes `key`, returning its value if it was present.
+    /// Stores `cells` as the new contents of node `old`, a page of `kind`
+    /// whose ancestors are `path` (`next` is an internal node's leftmost
+    /// child), and returns the page now holding it — its first piece, after a
+    /// split.
     ///
-    /// A leaf that falls below [`MIN_FILL`] occupied bytes is merged with an
-    /// adjacent sibling when both fit in one page (the freed page goes onto
-    /// the free list), or rebalanced by redistributing entries otherwise.
-    /// Merges cascade: an internal node that loses its last separators is
-    /// merged in turn, and an internal root left with a single child is
-    /// collapsed, shrinking the tree by one level.
-    pub fn delete(&mut self, key: &[u8]) -> io::Result<Option<Vec<u8>>> {
-        let (leaf, mut path) = self.descend(key)?;
-        let mut entries = self.read_leaf(leaf)?;
-        match entries.binary_search_by(|(k, _)| k.as_slice().cmp(key)) {
-            Ok(i) => {
-                let (_, value) = entries.remove(i);
-                let target = self.cow_target(leaf)?;
-                self.write_leaf(target, &entries)?;
-                self.fix_parents(&mut path, leaf, target)?;
-                self.entries -= 1;
-                let size =
-                    slotted::required_size(entries.iter().map(|(k, v)| 4 + k.len() + v.len()));
-                if size < MIN_FILL && self.height > 1 {
-                    self.rebalance(path, target)?;
-                }
-                // No meta write here — see the matching comment in `insert`.
-                Ok(Some(value))
+    /// A node that fits is written once: in place, or to a fresh page whose
+    /// id is then patched into the parent ([`PagedBTree::relocate`]). An
+    /// overflowing one is cut into as many balanced pages as it needs
+    /// ([`split_cuts`]), and all the new separators go into the parent in
+    /// one rewrite ([`PagedBTree::insert_separators`]), cascading up.
+    fn store_node(
+        &mut self,
+        path: &mut [(PageId, usize)],
+        old: PageId,
+        kind: u16,
+        next: PageId,
+        cells: &[&[u8]],
+    ) -> io::Result<PageId> {
+        let internal = kind == slotted::KIND_INTERNAL;
+        let cuts = split_cuts(cells, internal)?;
+        let piece_end = |i: usize| cuts.get(i + 1).copied().unwrap_or(cells.len());
+        let target = self.cow_target(old)?;
+        self.write_cells(target, kind, next, &cells[..piece_end(0)])?;
+        if cuts.len() == 1 {
+            if target != old {
+                self.relocate(path, target)?;
             }
-            Err(_) => Ok(None),
+            return Ok(target);
         }
+        let mut separators = CellBuf::default();
+        for (i, &start) in cuts.iter().enumerate().skip(1) {
+            let page = self.alloc_page()?;
+            let first = cells[start];
+            if internal {
+                // B+tree internal split: the piece's first cell moves up —
+                // its key becomes the separator, its child the new node's
+                // leftmost child.
+                self.write_cells(
+                    page,
+                    kind,
+                    cell_child(first),
+                    &cells[start + 1..piece_end(i)],
+                )?;
+            } else {
+                self.write_cells(page, kind, next, &cells[start..piece_end(i)])?;
+            }
+            separators.push_internal(cell_key(first), page);
+        }
+        self.insert_separators(path, target, &separators)?;
+        Ok(target)
     }
 
-    /// Restores the fill invariant after a deletion left `node` (initially a
-    /// leaf) below [`MIN_FILL`]. The node is paired with an adjacent sibling
-    /// under the same parent: if their contents fit in one page they are
-    /// merged (right into left, right page freed, parent separator dropped —
-    /// which can underflow the parent and cascade upward); otherwise the
-    /// contents are redistributed evenly and the parent separator updated.
-    fn rebalance(&mut self, mut path: Vec<PageId>, mut node: PageId) -> io::Result<()> {
+    /// Inserts the `separators` of a node that split — whose ancestors are
+    /// `path` and whose first piece is now `left` — into its parent right
+    /// after the node's own slot, in one rewrite of the parent's page bytes.
+    /// A root split grows the tree by one level.
+    fn insert_separators(
+        &mut self,
+        path: &mut [(PageId, usize)],
+        left: PageId,
+        separators: &CellBuf,
+    ) -> io::Result<()> {
+        let (parent, ordinal, ancestors) = match path.split_last_mut() {
+            Some((&mut (parent, ordinal), ancestors)) => (parent, ordinal, ancestors),
+            None => {
+                let root = self.alloc_page()?;
+                self.pool
+                    .with_page_mut(root, |p| slotted::init(p, slotted::KIND_INTERNAL))?;
+                self.root = root;
+                self.height += 1;
+                (root, 0, &mut [][..])
+            }
+        };
+        let mut page = self.read_raw(parent)?;
+        set_child(&mut page, ordinal, left);
+        let cells: Vec<&[u8]> = page_cells(&page)
+            .take(ordinal)
+            .chain(separators.cells())
+            .chain(page_cells(&page).skip(ordinal))
+            .collect();
+        let leftmost = PageId(slotted::next(&page));
+        self.store_node(ancestors, parent, slotted::KIND_INTERNAL, leftmost, &cells)?;
+        Ok(())
+    }
+
+    /// Points the parent at the end of `path` at `child`, the relocated copy
+    /// of the node it routed through, by patching the 4-byte child id on the
+    /// page. A parent that a snapshot can still see is first copied as raw
+    /// page bytes and relocated in turn, up to the root. `path` is updated
+    /// to the relocated ids.
+    fn relocate(&mut self, path: &mut [(PageId, usize)], mut child: PageId) -> io::Result<()> {
+        for (parent, ordinal) in path.iter_mut().rev() {
+            let target = self.cow_copy(*parent)?;
+            self.pool
+                .with_page_mut(target, |p| set_child(p, *ordinal, child))?;
+            if target == *parent {
+                return Ok(());
+            }
+            *parent = target;
+            child = target;
+        }
+        self.root = child;
+        Ok(())
+    }
+
+    /// Restores the fill invariant after deletions left `node` (a leaf whose
+    /// ancestors are `path`) below [`MIN_FILL`]. The node is paired with an
+    /// adjacent sibling under the same parent: if their contents fit in one
+    /// page they are merged (right into left, right page retired, parent
+    /// separator dropped — which can underflow the parent and cascade
+    /// upward); otherwise the contents are redistributed evenly and the
+    /// parent separator replaced. Parents are edited on their page bytes.
+    fn rebalance(&mut self, mut path: &mut [(PageId, usize)], mut node: PageId) -> io::Result<()> {
         // 1 = `node` is a leaf; grows as merges cascade toward the root.
         let mut level = 1u32;
         loop {
-            let Some(parent) = path.pop() else {
+            let Some((&mut (parent, idx), ancestors)) = std::mem::take(&mut path).split_last_mut()
+            else {
                 // `node` is the root. A root leaf may hold any number of
                 // entries; an internal root without separators has exactly
                 // one child left — collapse one level.
                 if level > 1 {
-                    let (cells, leftmost) = self.read_internal(node)?;
-                    if cells.is_empty() {
+                    let (count, leftmost) = self
+                        .pool
+                        .with_page(node, |p| (slotted::cell_count(p), PageId(slotted::next(p))))?;
+                    if count == 0 {
                         self.retire_page(node)?;
                         self.root = leftmost;
                         self.height -= 1;
@@ -970,76 +1012,57 @@ impl PagedBTree {
                 }
                 return Ok(());
             };
-            let (mut pcells, mut pleftmost) = self.read_internal(parent)?;
-            let children: Vec<PageId> = std::iter::once(pleftmost)
-                .chain(pcells.iter().map(|&(_, c)| c))
-                .collect();
-            let Some(idx) = children.iter().position(|&c| c == node) else {
+            let mut page = self.read_raw(parent)?;
+            let count = slotted::cell_count(&page);
+            if count == 0 || idx > count || child_of(&page, idx) != node {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
-                    format!("rebalance: underflowed {node} is not a child of its parent {parent}"),
+                    format!(
+                        "rebalance: underflowed {node} is not child {idx} of its parent {parent}"
+                    ),
                 ));
-            };
+            }
             // Pair with the left neighbour (right neighbour for the leftmost
             // child); parent cell `sep_idx` separates the pair.
             let sep_idx = idx.saturating_sub(1);
-            let left = children[sep_idx];
-            let right = children[sep_idx + 1];
-
+            let left = child_of(&page, sep_idx);
+            let right = child_of(&page, sep_idx + 1);
             let (new_left, redistributed) = if level == 1 {
                 self.merge_or_split_leaves(left, right)?
             } else {
-                let sep = pcells[sep_idx].0.clone();
-                self.merge_or_split_internals(left, right, sep)?
+                let separator = cell_key(slotted::cell(&page, sep_idx)).to_vec();
+                self.merge_or_split_internals(left, right, &separator)?
             };
             // The left sibling may have been relocated by copy-on-write.
-            if sep_idx == 0 {
-                pleftmost = new_left;
-            } else {
-                pcells[sep_idx - 1].1 = new_left;
+            set_child(&mut page, sep_idx, new_left);
+            // Merged: the right page is gone, its separator with it.
+            // Redistributed: the separator (and the possibly relocated right
+            // sibling) changes; a longer one can overflow the parent, which
+            // `store_node` then splits.
+            let mut replacement = CellBuf::default();
+            if let Some((separator, new_right)) = &redistributed {
+                replacement.push_internal(separator, *new_right);
             }
-            match redistributed {
-                None => {
-                    // Merged: the right page is gone, its separator with it.
-                    pcells.remove(sep_idx);
-                    let target = self.cow_target(parent)?;
-                    self.write_internal(target, &pcells, pleftmost)?;
-                    self.fix_parents(&mut path, parent, target)?;
-                    let psize = slotted::required_size(pcells.iter().map(|(k, _)| 6 + k.len()));
-                    if psize >= MIN_FILL {
-                        return Ok(());
-                    }
-                    node = target;
-                    level += 1;
-                }
-                Some((separator, new_right)) => {
-                    // Redistributed: the separator between the two siblings
-                    // (and their possibly relocated ids) changes. A longer
-                    // separator can overflow a full parent — re-route through
-                    // the splitting insert path in that (rare) case.
-                    pcells[sep_idx].0 = separator;
-                    pcells[sep_idx].1 = new_right;
-                    let psize = slotted::required_size(pcells.iter().map(|(k, _)| 6 + k.len()));
-                    if psize <= PAGE_SIZE {
-                        let target = self.cow_target(parent)?;
-                        self.write_internal(target, &pcells, pleftmost)?;
-                        self.fix_parents(&mut path, parent, target)?;
-                    } else {
-                        let (separator, child) = pcells.remove(sep_idx);
-                        let target = self.cow_target(parent)?;
-                        self.write_internal(target, &pcells, pleftmost)?;
-                        self.fix_parents(&mut path, parent, target)?;
-                        path.push(target);
-                        self.insert_into_parent(path, node, node, separator, child)?;
-                    }
-                    return Ok(());
-                }
+            let cells: Vec<&[u8]> = page_cells(&page)
+                .take(sep_idx)
+                .chain(replacement.cells())
+                .chain(page_cells(&page).skip(sep_idx + 1))
+                .collect();
+            let size = slotted::required_size(cells.iter().map(|c| c.len()));
+            let leftmost = PageId(slotted::next(&page));
+            let stored =
+                self.store_node(ancestors, parent, slotted::KIND_INTERNAL, leftmost, &cells)?;
+            if redistributed.is_some() || size >= MIN_FILL {
+                return Ok(());
             }
+            node = stored;
+            level += 1;
+            path = ancestors;
         }
     }
 
     /// Merges leaf `right` into `left` when their contents fit in one page
-    /// (retiring `right`), or redistributes the entries evenly by size.
+    /// (retiring `right`), or redistributes the cells evenly by size.
     /// Returns the possibly relocated left page, plus — when redistributed —
     /// the new separator and the possibly relocated right page.
     fn merge_or_split_leaves(
@@ -1047,29 +1070,28 @@ impl PagedBTree {
         left: PageId,
         right: PageId,
     ) -> io::Result<RebalanceOutcome> {
-        let mut entries = self.read_leaf(left)?;
-        let right_entries = self.read_leaf(right)?;
-        entries.extend(right_entries);
-        let cell = |(k, v): &LeafEntry| 4 + k.len() + v.len() + slotted::SLOT_SIZE;
-        let total = slotted::required_size(entries.iter().map(|e| cell(e) - slotted::SLOT_SIZE));
-        if total <= PAGE_SIZE {
+        let (left_page, right_page) = (self.read_raw(left)?, self.read_raw(right)?);
+        let cells: Vec<&[u8]> = page_cells(&left_page)
+            .chain(page_cells(&right_page))
+            .collect();
+        let leaf = slotted::KIND_LEAF;
+        if slotted::required_size(cells.iter().map(|c| c.len())) <= PAGE_SIZE {
             let new_left = self.cow_target(left)?;
-            self.write_leaf(new_left, &entries)?;
+            self.write_cells(new_left, leaf, PageId::INVALID, &cells)?;
             self.retire_page(right)?;
             return Ok((new_left, None));
         }
-        let mid = balanced_split(&entries, cell);
-        let right_entries = entries.split_off(mid);
-        let separator = right_entries[0].0.clone();
+        let mid = balanced_split(&cells, |c| c.len() + slotted::SLOT_SIZE);
+        let separator = cell_key(cells[mid]).to_vec();
         let new_left = self.cow_target(left)?;
-        self.write_leaf(new_left, &entries)?;
+        self.write_cells(new_left, leaf, PageId::INVALID, &cells[..mid])?;
         let new_right = self.cow_target(right)?;
-        self.write_leaf(new_right, &right_entries)?;
+        self.write_cells(new_right, leaf, PageId::INVALID, &cells[mid..])?;
         Ok((new_left, Some((separator, new_right))))
     }
 
     /// Merges internal node `right` into `left` (pulling the parent
-    /// separator down as the cell routing to `right`'s leftmost child) when
+    /// `separator` down as the cell routing to `right`'s leftmost child) when
     /// everything fits in one page, or redistributes the cells evenly and
     /// returns the promoted separator. Relocations mirror
     /// [`PagedBTree::merge_or_split_leaves`].
@@ -1077,17 +1099,19 @@ impl PagedBTree {
         &mut self,
         left: PageId,
         right: PageId,
-        separator: Vec<u8>,
+        separator: &[u8],
     ) -> io::Result<RebalanceOutcome> {
-        let (mut cells, lleft) = self.read_internal(left)?;
-        let (right_cells, rleft) = self.read_internal(right)?;
-        cells.push((separator, rleft));
-        cells.extend(right_cells);
-        let cell = |(k, _): &InternalCell| 6 + k.len() + slotted::SLOT_SIZE;
-        let total = slotted::required_size(cells.iter().map(|c| cell(c) - slotted::SLOT_SIZE));
-        if total <= PAGE_SIZE {
+        let (left_page, right_page) = (self.read_raw(left)?, self.read_raw(right)?);
+        let mut pulled_down = CellBuf::default();
+        pulled_down.push_internal(separator, PageId(slotted::next(&right_page)));
+        let cells: Vec<&[u8]> = page_cells(&left_page)
+            .chain(pulled_down.cells())
+            .chain(page_cells(&right_page))
+            .collect();
+        let (internal, leftmost) = (slotted::KIND_INTERNAL, PageId(slotted::next(&left_page)));
+        if slotted::required_size(cells.iter().map(|c| c.len())) <= PAGE_SIZE {
             let new_left = self.cow_target(left)?;
-            self.write_internal(new_left, &cells, lleft)?;
+            self.write_cells(new_left, internal, leftmost, &cells)?;
             self.retire_page(right)?;
             return Ok((new_left, None));
         }
@@ -1095,14 +1119,13 @@ impl PagedBTree {
         // MAX_ENTRY_SIZE (≈ a quarter page), so an overflowing combination
         // always has enough of them.
         debug_assert!(cells.len() >= 3, "overflowing internal pair too small");
-        let mid = balanced_split(&cells, cell).min(cells.len() - 2);
-        let mut right_cells = cells.split_off(mid);
-        let (promoted, right_leftmost) = right_cells.remove(0);
+        let mid = balanced_split(&cells, |c| c.len() + slotted::SLOT_SIZE).min(cells.len() - 2);
+        let promoted = cells[mid];
         let new_left = self.cow_target(left)?;
-        self.write_internal(new_left, &cells, lleft)?;
+        self.write_cells(new_left, internal, leftmost, &cells[..mid])?;
         let new_right = self.cow_target(right)?;
-        self.write_internal(new_right, &right_cells, right_leftmost)?;
-        Ok((new_left, Some((promoted, new_right))))
+        self.write_cells(new_right, internal, cell_child(promoted), &cells[mid + 1..])?;
+        Ok((new_left, Some((cell_key(promoted).to_vec(), new_right))))
     }
 
     // ------------------------------------------------------------------
@@ -1135,12 +1158,12 @@ impl PagedBTree {
             }
             let pid = pool.allocate_page()?;
             let first_key = current[0].0.clone();
-            let cells: Vec<Vec<u8>> = current
-                .iter()
-                .map(|(k, v)| Self::encode_leaf_cell(k, v))
-                .collect();
+            let mut cells = CellBuf::default();
+            for (k, v) in current.iter() {
+                cells.push_leaf(k, v);
+            }
             pool.with_page_mut(pid, |p| {
-                slotted::rewrite(p, slotted::KIND_LEAF, u32::MAX, &cells)
+                slotted::rewrite(p, slotted::KIND_LEAF, u32::MAX, &cells.cells())
             })?;
             leaves.push((first_key, pid));
             current.clear();
@@ -1202,12 +1225,12 @@ impl PagedBTree {
                     i += 1;
                 }
                 let pid = pool.allocate_page()?;
-                let encoded: Vec<Vec<u8>> = cells
-                    .iter()
-                    .map(|(k, c)| Self::encode_internal_cell(k, *c))
-                    .collect();
+                let mut encoded = CellBuf::default();
+                for (k, c) in &cells {
+                    encoded.push_internal(k, *c);
+                }
                 pool.with_page_mut(pid, |p| {
-                    slotted::rewrite(p, slotted::KIND_INTERNAL, leftmost.0, &encoded)
+                    slotted::rewrite(p, slotted::KIND_INTERNAL, leftmost.0, &encoded.cells())
                 })?;
                 parents.push((first_key, pid));
             }
@@ -1248,13 +1271,19 @@ impl PagedBTree {
         let mut stack = Vec::with_capacity(self.height.saturating_sub(1) as usize);
         let mut current = self.root;
         for level in 1..self.height {
-            let (cells, leftmost) = self.read_internal(current)?;
-            let (ordinal, child) = Self::route(&cells, leftmost, start);
-            if level + 1 == self.height {
-                // `current` is a leaf parent: the scan will consume its leaf
-                // children left to right, so stage the next few now.
-                self.prefetch_leaves(&cells, leftmost, ordinal + 1);
-            }
+            let leaf_parent = level + 1 == self.height;
+            let (ordinal, child, upcoming) = self.pool.with_page(current, |p| {
+                let (ordinal, child) = route(p, start);
+                // A leaf parent's leaf children are consumed left to right
+                // by the scan, so stage the next few now.
+                let upcoming = if leaf_parent {
+                    upcoming_leaves(p, ordinal + 1)
+                } else {
+                    Vec::new()
+                };
+                (ordinal, child, upcoming)
+            })?;
+            self.prefetch(&upcoming);
             stack.push((current, ordinal + 1));
             current = child;
         }
@@ -1273,24 +1302,6 @@ impl PagedBTree {
     /// Iterates every entry in key order.
     pub fn iter(&self) -> io::Result<PagedRangeIter<'_>> {
         self.range(&[], None)
-    }
-
-    /// Issues buffer-pool read-ahead for up to [`READ_AHEAD`] leaf children
-    /// of a leaf-parent internal node, starting at child `from_ordinal`.
-    ///
-    /// Leaves are not sibling-chained (see [`Self::range`]), so sequential
-    /// leaf prefetch goes through the parent's cells instead of a next
-    /// pointer. Best effort: errors surface on the demand read.
-    fn prefetch_leaves(&self, cells: &[InternalCell], leftmost: PageId, from_ordinal: usize) {
-        // Valid ordinals are 0..=cells.len().
-        if from_ordinal > cells.len() {
-            return;
-        }
-        let upto = (from_ordinal + READ_AHEAD).min(cells.len() + 1);
-        let pids: Vec<PageId> = (from_ordinal..upto)
-            .map(|o| Self::child_at(cells, leftmost, o))
-            .collect();
-        self.pool.prefetch(&pids);
     }
 
     /// Iterates entries whose key starts with `prefix`.
@@ -1684,6 +1695,260 @@ fn balanced_split<T>(items: &[T], cell_size: impl Fn(&T) -> usize) -> usize {
     items.len() / 2
 }
 
+/// Encoded node cells laid end to end in one buffer: the scratch in which a
+/// merge, split or parent edit builds a node's new contents before one page
+/// rewrite.
+#[derive(Debug, Default)]
+struct CellBuf {
+    bytes: Vec<u8>,
+    ends: Vec<usize>,
+}
+
+impl CellBuf {
+    fn clear(&mut self) {
+        self.bytes.clear();
+        self.ends.clear();
+    }
+
+    /// Appends an already encoded cell.
+    fn push(&mut self, cell: &[u8]) {
+        self.bytes.extend_from_slice(cell);
+        self.ends.push(self.bytes.len());
+    }
+
+    /// Appends a leaf cell `[key_len u16 | key | val_len u16 | value]`.
+    fn push_leaf(&mut self, key: &[u8], value: &[u8]) {
+        self.bytes
+            .extend_from_slice(&(key.len() as u16).to_le_bytes());
+        self.bytes.extend_from_slice(key);
+        self.bytes
+            .extend_from_slice(&(value.len() as u16).to_le_bytes());
+        self.bytes.extend_from_slice(value);
+        self.ends.push(self.bytes.len());
+    }
+
+    /// Appends an internal cell `[key_len u16 | key | child u32]`.
+    fn push_internal(&mut self, key: &[u8], child: PageId) {
+        self.bytes
+            .extend_from_slice(&(key.len() as u16).to_le_bytes());
+        self.bytes.extend_from_slice(key);
+        self.bytes.extend_from_slice(&child.0.to_le_bytes());
+        self.ends.push(self.bytes.len());
+    }
+
+    /// The cells, in order.
+    fn cells(&self) -> Vec<&[u8]> {
+        let mut start = 0;
+        self.ends
+            .iter()
+            .map(|&end| {
+                let cell = &self.bytes[start..end];
+                start = end;
+                cell
+            })
+            .collect()
+    }
+}
+
+/// The key of a leaf or internal cell (both start `[key_len u16 | key]`).
+fn cell_key(cell: &[u8]) -> &[u8] {
+    let len = u16::from_le_bytes([cell[0], cell[1]]) as usize;
+    &cell[2..2 + len]
+}
+
+/// The value of a leaf cell.
+fn leaf_value(cell: &[u8]) -> &[u8] {
+    let off = 2 + cell_key(cell).len();
+    let len = u16::from_le_bytes([cell[off], cell[off + 1]]) as usize;
+    &cell[off + 2..off + 2 + len]
+}
+
+/// The child page of an internal cell: its last four bytes.
+fn cell_child(cell: &[u8]) -> PageId {
+    PageId(get_u32(cell, cell.len() - 4))
+}
+
+/// The cells of a node page, in order.
+fn page_cells(page: &[u8]) -> impl Iterator<Item = &[u8]> {
+    (0..slotted::cell_count(page)).map(move |i| slotted::cell(page, i))
+}
+
+/// The child at `ordinal` of internal page `page`: ordinal 0 is the
+/// leftmost child (the header's `next` field), `j ≥ 1` is cell `j - 1`'s.
+fn child_of(page: &[u8], ordinal: usize) -> PageId {
+    if ordinal == 0 {
+        PageId(slotted::next(page))
+    } else {
+        cell_child(slotted::cell(page, ordinal - 1))
+    }
+}
+
+/// Overwrites the child id at `ordinal` of internal page `page` in place.
+fn set_child(page: &mut [u8], ordinal: usize, child: PageId) {
+    if ordinal == 0 {
+        slotted::set_next(page, child.0);
+    } else {
+        let cell = slotted::cell_range(page, ordinal - 1);
+        put_u32(page, cell.end - 4, child.0);
+    }
+}
+
+/// Routes `key` one level down internal page `page` by binary search over
+/// its slotted cells on the page bytes, returning the chosen child's ordinal
+/// and page: the number of separators `≤ key`. The single source of truth
+/// for separator semantics — lookups, range scans and mutations descend
+/// identically.
+fn route(page: &[u8], key: &[u8]) -> (usize, PageId) {
+    let (mut lo, mut hi) = (0, slotted::cell_count(page));
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if cell_key(slotted::cell(page, mid)) <= key {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    (lo, child_of(page, lo))
+}
+
+/// Binary search for `key` among leaf page `page`'s cells: `Ok(slot)` when
+/// present, `Err(slot)` where it would be inserted.
+fn leaf_search(page: &[u8], key: &[u8]) -> Result<usize, usize> {
+    let (mut lo, mut hi) = (0, slotted::cell_count(page));
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        match cell_key(slotted::cell(page, mid)).cmp(key) {
+            std::cmp::Ordering::Less => lo = mid + 1,
+            std::cmp::Ordering::Greater => hi = mid,
+            std::cmp::Ordering::Equal => return Ok(mid),
+        }
+    }
+    Err(lo)
+}
+
+/// Up to [`READ_AHEAD`] leaf children of leaf-parent page `page`, starting at
+/// child `from_ordinal`: the pages a range scan reads next. Leaves are not
+/// sibling-chained (see [`PagedBTree::range`]), so sequential leaf prefetch
+/// goes through the parent's cells instead of a next pointer.
+fn upcoming_leaves(page: &[u8], from_ordinal: usize) -> Vec<PageId> {
+    // Valid ordinals are 0..=cell_count.
+    let count = slotted::cell_count(page);
+    if from_ordinal > count {
+        return Vec::new();
+    }
+    let upto = (from_ordinal + READ_AHEAD).min(count + 1);
+    (from_ordinal..upto).map(|o| child_of(page, o)).collect()
+}
+
+/// Fails with [`io::ErrorKind::InvalidInput`] unless `keys` are strictly
+/// ascending — the order [`PagedBTree::apply_sorted`] requires.
+pub fn check_ascending<'a>(keys: impl IntoIterator<Item = &'a [u8]>) -> io::Result<()> {
+    let mut previous: Option<&[u8]> = None;
+    for (i, key) in keys.into_iter().enumerate() {
+        if previous.is_some_and(|p| p >= key) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "batch key {i} is not above its predecessor: keys must be sorted and unique"
+                ),
+            ));
+        }
+        previous = Some(key);
+    }
+    Ok(())
+}
+
+/// Merges the sorted `group` into the cells of leaf page `page` in one pass,
+/// encoding the result into `out`. Returns the keys inserted, the keys
+/// removed, and whether anything changed (an overwrite with a new value
+/// counts; deletes of absent keys and identical overwrites do not).
+fn merge_into_leaf<K: AsRef<[u8]>, V: AsRef<[u8]>>(
+    page: &[u8],
+    group: &[(K, Option<V>)],
+    out: &mut CellBuf,
+) -> (u64, u64, bool) {
+    let count = slotted::cell_count(page);
+    let (mut inserted, mut removed, mut changed) = (0, 0, false);
+    let mut i = 0;
+    for (key, value) in group {
+        let key = key.as_ref();
+        // Cells below the key stay as they are.
+        while i < count && cell_key(slotted::cell(page, i)) < key {
+            out.push(slotted::cell(page, i));
+            i += 1;
+        }
+        let present = (i < count && cell_key(slotted::cell(page, i)) == key).then(|| {
+            i += 1;
+            slotted::cell(page, i - 1)
+        });
+        match (present, value) {
+            (Some(cell), Some(value)) => {
+                changed |= leaf_value(cell) != value.as_ref();
+                out.push_leaf(key, value.as_ref());
+            }
+            (None, Some(value)) => {
+                inserted += 1;
+                out.push_leaf(key, value.as_ref());
+            }
+            (Some(_), None) => removed += 1,
+            (None, None) => {}
+        }
+    }
+    for j in i..count {
+        out.push(slotted::cell(page, j));
+    }
+    (inserted, removed, changed || inserted > 0 || removed > 0)
+}
+
+/// Start indices of the balanced pieces `cells` must be cut into so that
+/// each fits one page — `[0]` when they already fit. The piece count is the
+/// smallest that works, and each cut falls where the running size first
+/// reaches its share of the total. An internal piece after the first gives
+/// its first cell up as the separator, so it needs at least two cells.
+fn split_cuts(cells: &[&[u8]], internal: bool) -> io::Result<Vec<usize>> {
+    let size = |cell: &&[u8]| cell.len() + slotted::SLOT_SIZE;
+    let total: usize = cells.iter().map(size).sum();
+    let usable = PAGE_SIZE - slotted::HEADER_SIZE;
+    if total <= usable {
+        return Ok(vec![0]);
+    }
+    let min_cells = |piece: usize| if internal && piece > 0 { 2 } else { 1 };
+    for pieces in total.div_ceil(usable).max(2)..=cells.len() {
+        let mut cuts = vec![0];
+        let mut acc = 0;
+        for (i, cell) in cells.iter().enumerate() {
+            let last = cuts[cuts.len() - 1];
+            if cuts.len() < pieces
+                && acc * pieces >= total * cuts.len()
+                && i - last >= min_cells(cuts.len() - 1)
+            {
+                cuts.push(i);
+            }
+            acc += size(cell);
+        }
+        let fits = (0..cuts.len()).all(|piece| {
+            let (start, end) = (
+                cuts[piece],
+                cuts.get(piece + 1).copied().unwrap_or(cells.len()),
+            );
+            // A promoted separator leaves its piece.
+            let stored = start + usize::from(internal && piece > 0);
+            end - start >= min_cells(piece)
+                && slotted::required_size(cells[stored..end].iter().map(|c| c.len())) <= PAGE_SIZE
+        });
+        if fits {
+            return Ok(cuts);
+        }
+    }
+    Err(io::Error::new(
+        io::ErrorKind::InvalidData,
+        format!(
+            "{} cells of {total} bytes cannot be split into pages",
+            cells.len()
+        ),
+    ))
+}
+
 /// Ordered iterator over a key range of a [`PagedBTree`].
 ///
 /// Each item is `io::Result<(key, value)>`; an I/O error ends the iteration
@@ -1705,30 +1970,44 @@ impl PagedRangeIter<'_> {
     /// internal levels, then descends the leftmost spine under the next
     /// unvisited child. Returns `false` when the tree is exhausted.
     fn advance_leaf(&mut self) -> io::Result<bool> {
+        let leaf_parents = self.tree.height as usize - 1;
         loop {
             let Some((pid, ordinal)) = self.stack.pop() else {
                 return Ok(false);
             };
-            let (cells, leftmost) = self.tree.read_internal(pid)?;
-            if ordinal > cells.len() {
+            // Back at a leaf parent: stage its upcoming leaf children.
+            let leaf_parent = self.stack.len() + 1 == leaf_parents;
+            let next = self.tree.pool.with_page(pid, |p| {
+                (ordinal <= slotted::cell_count(p)).then(|| {
+                    let upcoming = if leaf_parent {
+                        upcoming_leaves(p, ordinal + 1)
+                    } else {
+                        Vec::new()
+                    };
+                    (child_of(p, ordinal), upcoming)
+                })
+            })?;
+            let Some((child, upcoming)) = next else {
                 continue;
-            }
-            let child = PagedBTree::child_at(&cells, leftmost, ordinal);
+            };
             self.stack.push((pid, ordinal + 1));
-            if self.stack.len() as u32 == self.tree.height - 1 {
-                // Back at a leaf parent: stage its upcoming leaf children.
-                self.tree.prefetch_leaves(&cells, leftmost, ordinal + 1);
-            }
+            self.tree.prefetch(&upcoming);
             let mut current = child;
-            while (self.stack.len() as u32) < self.tree.height - 1 {
-                let (spine_cells, child_leftmost) = self.tree.read_internal(current)?;
+            while self.stack.len() < leaf_parents {
+                // A fresh leaf parent on the leftmost spine: its first child
+                // is read next, stage the ones after it.
+                let leaf_parent = self.stack.len() + 1 == leaf_parents;
+                let (leftmost, upcoming) = self.tree.pool.with_page(current, |p| {
+                    let upcoming = if leaf_parent {
+                        upcoming_leaves(p, 1)
+                    } else {
+                        Vec::new()
+                    };
+                    (PageId(slotted::next(p)), upcoming)
+                })?;
                 self.stack.push((current, 1));
-                if self.stack.len() as u32 == self.tree.height - 1 {
-                    // A fresh leaf parent on the leftmost spine: its first
-                    // child is read next, stage the ones after it.
-                    self.tree.prefetch_leaves(&spine_cells, child_leftmost, 1);
-                }
-                current = child_leftmost;
+                self.tree.prefetch(&upcoming);
+                current = leftmost;
             }
             self.entries = self.tree.read_leaf(current)?;
             self.pos = 0;
@@ -2343,6 +2622,254 @@ mod tests {
         );
     }
 
+    /// A deterministic pseudo-random stream for the batch tests.
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self
+                .0
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (self.0 >> 33) % n
+        }
+    }
+
+    type Batch = Vec<(Vec<u8>, Option<Vec<u8>>)>;
+
+    /// Differential harness for [`PagedBTree::apply_sorted`]: every batch is
+    /// applied to the tree and to a `BTreeMap` model under a snapshot taken
+    /// just before it. After each batch the tree's contents and `len()` must
+    /// equal the model, `check_invariants` must pass, and the snapshot must
+    /// still read the pre-batch contents; the structural audit of writer and
+    /// snapshot runs after every batch under `PATHIX_AUDIT=1` and after every
+    /// fourth otherwise. A durable tree flushes after each batch, as the
+    /// on-disk index does.
+    struct BatchHarness {
+        tree: PagedBTree,
+        model: BTreeMap<Vec<u8>, Vec<u8>>,
+        durable: bool,
+        applied: usize,
+    }
+
+    impl BatchHarness {
+        fn new(tree: PagedBTree) -> Self {
+            BatchHarness {
+                tree,
+                model: BTreeMap::new(),
+                durable: false,
+                applied: 0,
+            }
+        }
+
+        fn apply(&mut self, batch: &[(Vec<u8>, Option<Vec<u8>>)]) {
+            let snapshot = self.tree.share();
+            let frozen: Vec<_> = self.model.clone().into_iter().collect();
+            self.tree.apply_sorted(batch).unwrap();
+            if self.durable {
+                self.tree.flush().unwrap();
+            }
+            for (key, value) in batch {
+                match value {
+                    Some(value) => self.model.insert(key.clone(), value.clone()),
+                    None => self.model.remove(key),
+                };
+            }
+            let at = format!("batch {}", self.applied);
+            assert_eq!(self.tree.len() as usize, self.model.len(), "{at}");
+            let contents: Vec<_> = self.tree.iter().unwrap().map(Result::unwrap).collect();
+            let expected: Vec<_> = self.model.clone().into_iter().collect();
+            assert!(
+                contents == expected,
+                "{at}: tree contents differ from the model"
+            );
+            self.tree.check_invariants().unwrap();
+            let seen: Vec<_> = snapshot.iter().unwrap().map(Result::unwrap).collect();
+            assert!(
+                seen == frozen,
+                "{at}: the snapshot lost its pre-batch contents"
+            );
+            let full = std::env::var("PATHIX_AUDIT").is_ok_and(|v| v == "1");
+            if full || self.applied.is_multiple_of(4) {
+                let mut report = AuditReport::new();
+                report.run("writer", &self.tree);
+                report.run("snapshot", &snapshot);
+                report.assert_clean(&at);
+            }
+            self.applied += 1;
+        }
+
+        /// A random sorted batch of up to `max_len` distinct keys drawn from
+        /// `0..key_space`: a third deletes (often of absent keys), the rest
+        /// inserts or overwrites with values of varying length.
+        fn random_batch(
+            &self,
+            rng: &mut Lcg,
+            key_of: &dyn Fn(u64) -> Vec<u8>,
+            key_space: u64,
+            max_len: u64,
+        ) -> Batch {
+            let mut batch = BTreeMap::new();
+            for _ in 0..=rng.below(max_len) {
+                let i = rng.below(key_space);
+                let value = (rng.below(3) != 0).then(|| {
+                    let pad = ".".repeat(rng.below(24) as usize);
+                    format!("v{}-{i}{pad}", self.applied).into_bytes()
+                });
+                batch.insert(key_of(i), value);
+            }
+            batch.into_iter().collect()
+        }
+
+        /// The root's separator count (the tree must have height 2 or more).
+        fn root_separators(&self) -> usize {
+            self.tree
+                .pool
+                .with_page(self.tree.root, slotted::cell_count)
+                .unwrap()
+        }
+
+        /// Inserts (or overwrites) every key in `keys` in one batch.
+        fn insert_all(&mut self, keys: impl Iterator<Item = u32>) {
+            let batch: Batch = keys.map(|i| (key(i), Some(val(i)))).collect();
+            self.apply(&batch);
+        }
+
+        /// Deletes, in one batch, every model key in `[from, to)` except
+        /// the last `keep`.
+        fn delete_range_but(&mut self, from: &[u8], to: Option<&[u8]>, keep: usize) {
+            let mut keys: Vec<Vec<u8>> = self
+                .model
+                .keys()
+                .filter(|k| k.as_slice() >= from && to.is_none_or(|t| k.as_slice() < t))
+                .cloned()
+                .collect();
+            keys.truncate(keys.len().saturating_sub(keep));
+            let batch: Batch = keys.into_iter().map(|k| (k, None)).collect();
+            self.apply(&batch);
+        }
+
+        fn finish(mut self) {
+            self.tree.flush().unwrap();
+            let mut report = AuditReport::new();
+            report.run("writer", &self.tree);
+            report.assert_clean("after the last snapshot died");
+        }
+    }
+
+    #[test]
+    fn audit_is_clean_under_random_sorted_batches() {
+        let mut h = BatchHarness::new(PagedBTree::create(BufferPool::in_memory(64)).unwrap());
+        // An empty batch, then a root-leaf tree (height 1).
+        h.apply(&[]);
+        h.insert_all(0..40);
+        assert_eq!(h.tree.height(), 1);
+        h.apply(&[
+            (key(3), None),
+            (key(5), Some(b"five".to_vec())),
+            (key(999), None),
+        ]);
+        assert_eq!(h.tree.height(), 1);
+        // One batch overflows the root leaf into four pages at once.
+        h.insert_all(40..520);
+        assert_eq!(h.tree.height(), 2);
+        assert!(h.root_separators() >= 2, "{}", h.root_separators());
+        let mut rng = Lcg(0x5EED);
+        for _ in 0..60 {
+            let batch = h.random_batch(&mut rng, &|i| key(i as u32), 3_000, 400);
+            h.apply(&batch);
+        }
+        assert!(h.tree.height() >= 2);
+        // Delete everything: merges cascade until the root is a leaf again.
+        h.delete_range_but(b"", None, 0);
+        assert!(h.tree.is_empty());
+        assert_eq!(h.tree.height(), 1);
+        h.finish();
+    }
+
+    #[test]
+    fn audit_is_clean_when_batch_deletes_merge_and_borrow() {
+        let mut h = BatchHarness::new(PagedBTree::create(BufferPool::in_memory(64)).unwrap());
+        h.insert_all(0..600);
+        assert_eq!(h.tree.height(), 2);
+        let (separators, _) = h.tree.read_internal(h.tree.root).unwrap();
+        assert!(separators.len() >= 4, "{}", separators.len());
+        let sep = |i: usize| separators[i].0.clone();
+
+        // Borrow: leaf 2 keeps 30 entries, too few to stay alone but too many
+        // to merge with its well-filled left neighbour — they redistribute,
+        // and the separator between them moves.
+        h.delete_range_but(&sep(1), Some(&sep(2)), 30);
+        let (after, _) = h.tree.read_internal(h.tree.root).unwrap();
+        assert_eq!(after.len(), separators.len(), "a borrow keeps every leaf");
+        assert_ne!(after[1].0, separators[1].0, "a borrow moves the separator");
+
+        // Merge: leaves 3 and 4 keep 5 entries each in one batch; both fold
+        // into their left neighbours.
+        let end = separators.get(4).map(|s| s.0.clone());
+        h.delete_range_but(&sep(2), end.as_deref(), 5);
+        let (after, _) = h.tree.read_internal(h.tree.root).unwrap();
+        assert!(after.len() < separators.len(), "a merge drops a leaf");
+        h.finish();
+    }
+
+    #[test]
+    fn audit_is_clean_under_sorted_batches_at_tiny_fanout() {
+        // Long keys leave room for only ~4 cells per page, so leaf and
+        // internal splits into several pages, merges, borrows and root
+        // collapse all run within small batches.
+        let big_key = |i: u64| {
+            let mut k = format!("key-{i:08}").into_bytes();
+            k.resize(MAX_ENTRY_SIZE - 80, b'.');
+            k
+        };
+        let mut h = BatchHarness::new(PagedBTree::create(BufferPool::in_memory(64)).unwrap());
+        let mut rng = Lcg(0xF00D);
+        for _ in 0..60 {
+            let batch = h.random_batch(&mut rng, &big_key, 120, 30);
+            h.apply(&batch);
+        }
+        assert!(h.tree.height() >= 3, "height {}", h.tree.height());
+        h.delete_range_but(b"", None, 0);
+        assert_eq!(h.tree.height(), 1);
+        h.finish();
+    }
+
+    #[test]
+    fn audit_is_clean_under_sorted_batches_with_durable_writeback() {
+        let pairs = (0..1_500u32).map(|i| (key(i), val(i)));
+        let mut tree = PagedBTree::bulk_load(BufferPool::in_memory(32), pairs).unwrap();
+        tree.flush().unwrap();
+        tree.enable_durable_writeback();
+        let mut h = BatchHarness::new(tree);
+        h.model = (0..1_500u32).map(|i| (key(i), val(i))).collect();
+        h.durable = true;
+        let mut rng = Lcg(0xD0_AB1E);
+        for _ in 0..40 {
+            let batch = h.random_batch(&mut rng, &|i| key(i as u32), 2_500, 300);
+            h.apply(&batch);
+        }
+        assert!(h.tree.cow_stats().page_copies > 0);
+        h.finish();
+    }
+
+    #[test]
+    fn unsorted_batches_are_rejected_before_any_write() {
+        let mut tree = PagedBTree::create(BufferPool::in_memory(16)).unwrap();
+        tree.insert(key(1), val(1)).unwrap();
+        for batch in [
+            vec![(key(3), Some(val(3))), (key(2), Some(val(2)))],
+            vec![(key(2), Some(val(2))), (key(2), None)],
+            vec![(key(2), Some(vec![0; MAX_ENTRY_SIZE]))],
+        ] {
+            let err = tree.apply_sorted(&batch).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        }
+        assert_eq!(tree.len(), 1);
+        assert_eq!(tree.get(&key(2)).unwrap(), None);
+        tree.check_invariants().unwrap();
+    }
+
     /// Names of the invariants a full audit of `tree` finds violated.
     fn violated(tree: &PagedBTree) -> Vec<&'static str> {
         let mut report = AuditReport::new();
@@ -2394,10 +2921,14 @@ mod tests {
 
         // Leaf keys out of order.
         let tree = build();
-        let (leaf, _) = tree.descend(&key(0)).unwrap();
-        let mut entries = tree.read_leaf(leaf).unwrap();
-        entries.swap(0, 1);
-        tree.write_leaf(leaf, &entries).unwrap();
+        let leaf = tree.descend(&key(0)).unwrap();
+        tree.pool
+            .with_page_mut(leaf, |p| {
+                let mut cells = slotted::read_cells(p);
+                cells.swap(0, 1);
+                slotted::rewrite(p, slotted::KIND_LEAF, u32::MAX, &cells);
+            })
+            .unwrap();
         assert!(violated(&tree).contains(&"leaf-sorted"));
 
         // Meta entry count drifts from what the leaves hold.

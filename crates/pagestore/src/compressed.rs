@@ -656,6 +656,7 @@ impl PathIndexBackend for CompressedPathStore {
         source: NodeId,
         target: NodeId,
     ) -> BackendResult<bool> {
+        check_scan_path(self.backend_name(), self.k, path)?;
         Ok(CompressedPathStore::contains(self, path, source, target))
     }
 
@@ -732,6 +733,17 @@ mod tests {
 
     fn knows(g: &Graph) -> SignedLabel {
         SignedLabel::forward(g.label_id("knows").unwrap())
+    }
+
+    #[test]
+    fn contains_checks_the_scan_path_contract() {
+        let g = paper_example_graph();
+        let store = CompressedPathStore::build(&g, 1);
+        let knows = knows(&g);
+        let (a, b) = naive_path_eval(&g, &[knows])[0];
+        assert!(PathIndexBackend::contains(&store, &[knows], a, b).unwrap());
+        assert!(PathIndexBackend::contains(&store, &[], a, b).is_err());
+        assert!(PathIndexBackend::contains(&store, &[knows, knows], a, b).is_err());
     }
 
     #[test]

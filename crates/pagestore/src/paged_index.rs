@@ -15,9 +15,10 @@
 //! The index is also **mutable** ([`MutablePathIndexBackend`]): the key-level
 //! deltas of a live update batch — computed once, backend-agnostically, by
 //! the counting pass of [`pathix_index::IncrementalKPathIndex`] — are
-//! replayed as B+tree key inserts and deletes (page splits, merges and
-//! free-list recycling included) and written back through the buffer pool,
-//! so an on-disk index stays durable across batches.
+//! absorbed as one sorted B+tree batch ([`PagedBTree::apply_sorted`]: page
+//! splits, merges and free-list recycling included) and written back
+//! through the buffer pool, so an on-disk index stays durable across
+//! batches.
 
 use crate::btree::{PagedBTree, PagedRangeIter, PagedTreeStats};
 use crate::buffer::{BufferPool, PoolStats};
@@ -40,6 +41,16 @@ use std::io;
 /// a persisted tree can reseed a live writer without recomputation.
 fn encode_walks(count: u64) -> Vec<u8> {
     count.to_le_bytes().to_vec()
+}
+
+/// The tree writes of a batch of absolute `(key, walk count)` writes, in the
+/// batch's order: a count of 0 deletes the key. [`PagedBTree::apply_sorted`]
+/// rejects a list whose keys are not strictly ascending.
+fn tree_writes(counts: &[(Vec<u8>, u64)]) -> Vec<(&[u8], Option<[u8; 8]>)> {
+    counts
+        .iter()
+        .map(|(key, count)| (key.as_slice(), (*count != 0).then(|| count.to_le_bytes())))
+        .collect()
 }
 
 /// Decodes a stored walk count; `None` when the value is not exactly 8 bytes.
@@ -215,10 +226,15 @@ impl PagedPathIndex {
     /// recovery. Records at or below the tree's persisted
     /// [`PagedPathIndex::applied_seq`] already reached the page file before
     /// the crash and only refresh the derived statistics; newer records
-    /// replay their absolute `(key, walk count)` writes (0 deletes the key),
-    /// advance the sequence number, and flush durably, so a crash *during*
-    /// recovery resumes where it left off. Returns whether the record was
-    /// fresh.
+    /// replay their absolute `(key, walk count)` writes (0 deletes the key)
+    /// as one [`PagedBTree::apply_sorted`] batch, advance the sequence
+    /// number, and flush durably, so a crash *during* recovery resumes where
+    /// it left off. Returns whether the record was fresh.
+    ///
+    /// The record's keys must be strictly ascending, as
+    /// [`pathix_index::EntryDeltas::counts`] logs them; a record read back
+    /// from the log that is not fails with
+    /// [`io::ErrorKind::InvalidInput`] and leaves the tree unchanged.
     pub fn replay_batch(
         &mut self,
         seq: u64,
@@ -227,15 +243,10 @@ impl PagedPathIndex {
         inserted_edges: u64,
         deleted_edges: u64,
     ) -> io::Result<bool> {
+        crate::btree::check_ascending(counts.iter().map(|(key, _)| key.as_slice()))?;
         let fresh = seq > self.tree.applied_seq();
         if fresh {
-            for (key, count) in counts {
-                if *count == 0 {
-                    self.tree.delete(key)?;
-                } else {
-                    self.tree.insert(key.clone(), encode_walks(*count))?;
-                }
-            }
+            self.tree.apply_sorted(&tree_writes(counts))?;
             self.tree.set_applied_seq(seq);
             self.inserts_applied += inserted_edges;
             self.deletes_applied += deleted_edges;
@@ -518,6 +529,7 @@ impl PathIndexBackend for PagedPathIndex {
         source: NodeId,
         target: NodeId,
     ) -> BackendResult<bool> {
+        check_scan_path(self.backend_name(), self.k, path)?;
         PagedPathIndex::contains(self, path, source, target)
             .map_err(|e| BackendError::io(self.backend_name(), &e))
     }
@@ -551,23 +563,18 @@ impl PathIndexBackend for PagedPathIndex {
 }
 
 impl MutablePathIndexBackend for PagedPathIndex {
-    /// Replays the batch's absolute `(key, walk count)` writes as B+tree
-    /// inserts and deletes (splitting, merging and recycling pages as
-    /// needed; a count of 0 deletes the key), adopts the fresh statistics
-    /// and the batch's commit sequence number, and flushes every dirty page
-    /// through the buffer pool so an on-disk index is durable up to the end
-    /// of the batch.
+    /// Absorbs the batch's absolute `(key, walk count)` writes as one
+    /// [`PagedBTree::apply_sorted`] batch (a count of 0 deletes the key;
+    /// leaves split, merge and recycle pages as needed), adopts the fresh
+    /// statistics and the batch's commit sequence number, and flushes every
+    /// dirty page through the buffer pool so an on-disk index is durable up
+    /// to the end of the batch. A key list that is not strictly ascending is
+    /// rejected before any page is touched.
     fn apply_delta_batch(&mut self, batch: &DeltaBatch<'_>) -> BackendResult<()> {
         let io_err = |e: &io::Error| BackendError::io("paged", e);
-        for (key, count) in batch.deltas.counts() {
-            if *count == 0 {
-                self.tree.delete(key).map_err(|e| io_err(&e))?;
-            } else {
-                self.tree
-                    .insert(key.clone(), encode_walks(*count))
-                    .map_err(|e| io_err(&e))?;
-            }
-        }
+        self.tree
+            .apply_sorted(&tree_writes(batch.deltas.counts()))
+            .map_err(|e| io_err(&e))?;
         self.per_path_counts = batch.per_path_counts.to_vec();
         self.paths_k_size = batch.paths_k_size;
         self.node_count = batch.node_count;
@@ -659,6 +666,17 @@ mod tests {
         assert_eq!(backend.stats().entries, paged.len());
         // Contract violations are errors, not panics.
         assert!(backend.scan_path(&[]).is_err());
+    }
+
+    #[test]
+    fn contains_checks_the_scan_path_contract() {
+        let g = paper_example_graph();
+        let paged = PagedPathIndex::build_in_memory(&g, 1, 8).unwrap();
+        let knows = SignedLabel::forward(g.label_id("knows").unwrap());
+        let (a, b) = naive_path_eval(&g, &[knows])[0];
+        assert!(PathIndexBackend::contains(&paged, &[knows], a, b).unwrap());
+        assert!(PathIndexBackend::contains(&paged, &[], a, b).is_err());
+        assert!(PathIndexBackend::contains(&paged, &[knows, knows], a, b).is_err());
     }
 
     #[test]
@@ -768,6 +786,44 @@ mod tests {
         report.run("paged", &paged);
         report.run("paged-view", &view);
         report.assert_clean("after a delta batch under a live view");
+    }
+
+    #[test]
+    fn out_of_order_key_lists_are_rejected_and_leave_the_tree_unchanged() {
+        let g = paper_example_graph();
+        let mut paged = PagedPathIndex::build_in_memory(&g, 2, 8).unwrap();
+        let before = paged.counted_entries().unwrap();
+        let (first, second) = (before[0].0.clone(), before[1].0.clone());
+        let nodes = g.node_count();
+
+        // Replay of a fresh record whose keys descend, or repeat.
+        for counts in [
+            vec![(second.clone(), 5), (first.clone(), 0)],
+            vec![(first.clone(), 0), (first.clone(), 3)],
+        ] {
+            let err = paged.replay_batch(1, &counts, nodes, 0, 0).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+            assert_eq!(paged.counted_entries().unwrap(), before);
+            assert_eq!(paged.applied_seq(), 0);
+        }
+
+        // A delta batch whose counts were logged out of order.
+        let oracle = IncrementalKPathIndex::bulk_from_graph(&g, 2);
+        let mut deltas = EntryDeltas::new();
+        deltas.record_count(&second, 5);
+        deltas.record_count(&first, 0);
+        assert!(paged
+            .apply_delta_batch(&oracle.delta_batch(&deltas, &[], 1))
+            .is_err());
+        assert_eq!(paged.counted_entries().unwrap(), before);
+        let mut report = AuditReport::new();
+        report.run("paged", &paged);
+        report.assert_clean("after the rejected batches");
+
+        // The same writes in key order replay.
+        let counts = [(first.clone(), 0), (second.clone(), 5)];
+        assert!(paged.replay_batch(1, &counts, nodes, 0, 0).unwrap());
+        assert_eq!(paged.len() as usize, before.len() - 1);
     }
 
     #[test]

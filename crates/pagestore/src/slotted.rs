@@ -102,11 +102,19 @@ pub fn payload_capacity(cells: usize) -> usize {
 /// # Panics
 /// Panics if `idx` is out of bounds or the slot is corrupt.
 pub fn cell(page: &[u8], idx: usize) -> &[u8] {
+    &page[cell_range(page, idx)]
+}
+
+/// Byte range of the cell at `idx` inside the page, for in-place patches.
+///
+/// # Panics
+/// Panics if `idx` is out of bounds.
+pub fn cell_range(page: &[u8], idx: usize) -> std::ops::Range<usize> {
     assert!(idx < cell_count(page), "cell index {idx} out of bounds");
     let slot = HEADER_SIZE + idx * SLOT_SIZE;
     let off = get_u16(page, slot) as usize;
     let len = get_u16(page, slot + 2) as usize;
-    &page[off..off + len]
+    off..off + len
 }
 
 /// Appends a cell at the end of the slot directory.
@@ -165,15 +173,15 @@ pub fn read_cells(page: &[u8]) -> Vec<Vec<u8>> {
 ///
 /// # Panics
 /// Panics if the cells collectively do not fit — callers must split first.
-pub fn rewrite(page: &mut [u8], kind_value: u16, next_value: u32, cells: &[Vec<u8>]) {
+pub fn rewrite<C: AsRef<[u8]>>(page: &mut [u8], kind_value: u16, next_value: u32, cells: &[C]) {
     init(page, kind_value);
     set_next(page, next_value);
     for c in cells {
         assert!(
-            push_cell(page, c),
+            push_cell(page, c.as_ref()),
             "rewrite overflow: {} cells / {} bytes do not fit in one page",
             cells.len(),
-            cells.iter().map(Vec::len).sum::<usize>()
+            cells.iter().map(|c| c.as_ref().len()).sum::<usize>()
         );
     }
 }

@@ -87,12 +87,12 @@
 //! ```
 
 pub use pathix_core::{
-    AuditReport, AuditSection, AuditViolation, BackendChoice, BackendError, BackendStats, Cursor,
-    DbStats, DeltaBatch, EntryChange, EntryDeltas, EstimationMode, ExecutionStats, Graph,
-    GraphBuilder, GraphUpdate, HistogramRefresh, IndexBackend, LabelId, MutablePathIndexBackend,
-    NodeId, PathDb, PathDbConfig, PathIndexBackend, PhysicalPlan, PlanCacheStats, PreparedQuery,
-    QueryError, QueryOptions, QueryResult, Session, SignedLabel, Snapshot, Strategy,
-    StructuralAudit, UpdateStats,
+    ApplyPhases, AuditReport, AuditSection, AuditViolation, BackendChoice, BackendError,
+    BackendStats, Cursor, DbStats, DeltaBatch, EntryChange, EntryDeltas, EstimationMode,
+    ExecutionStats, Graph, GraphBuilder, GraphUpdate, HistogramRefresh, IndexBackend, LabelId,
+    MutablePathIndexBackend, NodeId, PathDb, PathDbConfig, PathIndexBackend, PhysicalPlan,
+    PlanCacheStats, PreparedQuery, QueryError, QueryOptions, QueryResult, Session, SignedLabel,
+    Snapshot, Strategy, StructuralAudit, UpdateStats,
 };
 
 /// The graph substrate crate.
