@@ -12,8 +12,8 @@
 //!   list and filter. The vectorized path uses the per-chunk min/max fences,
 //!   the per-path source bloom and the per-segment fences of the compressed
 //!   store to bypass everything the probe cannot match.
-//! * **join-2/3/4** — composition chains (merge join at the bottom, hash
-//!   joins above), pairwise versus batched.
+//! * **join-2/3/4** — left-deep composition chains of single-label scans,
+//!   pairwise versus batched.
 //!
 //! Each row reports the skip counters the batched run generated
 //! (`chunks_skipped` on the memory backend, `blocks_skipped` on the
@@ -203,7 +203,7 @@ pub fn scan_join(scale: f64, k: usize) -> ScanJoinReport {
         let batched_ms = time_ms(reps, || execute(&plan, index).unwrap());
         let pairs = execute(&plan, index).unwrap().len();
         assert_eq!(
-            execute_pairwise(&plan, index).unwrap().0.len(),
+            execute_pairwise(&plan, index).unwrap().len(),
             pairs,
             "{name}: unbound scan routes disagree"
         );
@@ -241,13 +241,13 @@ pub fn scan_join(scale: f64, k: usize) -> ScanJoinReport {
         let hits = sources.iter().map(|&s| fenced_probe(s)).sum::<usize>();
         push("bound-probe", hits, baseline_ms, batched_ms, before);
 
-        // Join chains: merge join at the bottom, hash joins stacked above.
+        // Join chains: each join reads the previous one as its left input.
         for (workload, plan) in [("join-2", &join2), ("join-3", &join3), ("join-4", &join4)] {
             let baseline_ms = time_ms(reps, || execute_pairwise(plan, index).unwrap());
             let before = db.stats().storage;
             let batched_ms = time_ms(reps, || execute(plan, index).unwrap());
             let pairs = execute(plan, index).unwrap();
-            let (pairwise, _) = execute_pairwise(plan, index).unwrap();
+            let pairwise = execute_pairwise(plan, index).unwrap();
             assert_eq!(pairs, pairwise, "{name}: {workload} routes disagree");
             push(workload, pairs.len(), baseline_ms, batched_ms, before);
         }

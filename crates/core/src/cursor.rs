@@ -104,7 +104,6 @@ pub struct Cursor {
     returned: usize,
     done: bool,
     joins: usize,
-    merge_joins: usize,
     started: Instant,
     /// The owning database's cumulative pull counter, fed on drop.
     pulled_sink: Arc<AtomicU64>,
@@ -118,7 +117,6 @@ impl Cursor {
         pulled_sink: Arc<AtomicU64>,
     ) -> Result<Self, QueryError> {
         let joins = plan.join_count();
-        let merge_joins = plan.merge_join_count();
         Ok(Cursor {
             stream: OwnedStream::open(snapshot, plan, options.cancel_token_ref())?,
             remaining: options.limit_value(),
@@ -128,7 +126,6 @@ impl Cursor {
             returned: 0,
             done: false,
             joins,
-            merge_joins,
             started: Instant::now(),
             pulled_sink,
         })
@@ -148,7 +145,7 @@ impl Cursor {
             result_pairs: self.returned,
             pairs_pulled: self.pulled,
             joins: self.joins,
-            merge_joins: self.merge_joins,
+            merge_joins: 0,
         }
     }
 

@@ -181,6 +181,10 @@ impl PairStream for CancelGuard<'_> {
     fn sortedness(&self) -> Sortedness {
         self.inner.sortedness()
     }
+
+    fn is_distinct(&self) -> bool {
+        self.inner.is_distinct()
+    }
 }
 
 #[cfg(test)]

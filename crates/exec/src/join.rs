@@ -1,289 +1,23 @@
-//! Composition joins: merge join and hash join.
+//! The composition join.
 //!
-//! Both operators compute the composition of two pair relations
+//! [`JoinOp`] computes the composition of two pair relations
 //! `L ∘ R = {(x, z) | (x, y) ∈ L, (y, z) ∈ R}` — the physical counterpart of
 //! the `◦` operator after a disjunct has been cut into index-sized pieces.
 //!
-//! Both consume their inputs batch-at-a-time through an internal batch
-//! reader: the
-//! merge join advances over sorted key columns with galloping (exponential
-//! probe + binary search) when runs are skewed, and the hash join drains its
-//! build side into a flat open-addressing table probed per left batch.
+//! The k-path index stores every path relation sorted by `(source, target)`
+//! (§5 of the paper), and every plan node keeps that order: forward scans,
+//! ε, joins and unions all emit source-major. The join uses it on its left
+//! input: all pairs of one source arrive together, so the set of targets
+//! reachable from that source is complete as soon as the source changes.
+//! The join gathers that set without duplicates, sorts it and emits it — so
+//! its output is strictly ascending in `(source, target)`, duplicate-free and
+//! in the order the next join up consumes. Duplicates are dropped as early as
+//! they appear, below every join, instead of by a sort and dedup of the
+//! whole answer (eager duplicate elimination, Yan & Larson, VLDB 1995).
 
-use crate::operator::{BoxedPairStream, Pair, PairStream, Sortedness};
+use crate::operator::{order_error, BoxedPairStream, Pair, PairStream, Sortedness};
 use pathix_graph::NodeId;
 use pathix_index::backend::{BackendError, BackendResult, PairBatch};
-
-/// Which column of a batch carries the merge key for one input.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum KeyCol {
-    /// Keys are in the source column (right join inputs).
-    Source,
-    /// Keys are in the target column (left join inputs).
-    Target,
-}
-
-/// First index in `keys` whose value is ≥ `key`, found by exponential probe
-/// followed by binary search — O(log d) in the distance d advanced, so a long
-/// non-matching run costs its logarithm instead of its length.
-fn gallop_lower_bound(keys: &[NodeId], key: NodeId) -> usize {
-    if keys.is_empty() || keys[0] >= key {
-        return 0;
-    }
-    let mut hi = 1;
-    while hi < keys.len() && keys[hi] < key {
-        hi *= 2;
-    }
-    let lo = hi / 2;
-    let hi = hi.min(keys.len());
-    lo + keys[lo..hi].partition_point(|&k| k < key)
-}
-
-/// First index in `keys` whose value is ≥ `key`, by linear scan — the
-/// pre-galloping advancement, kept for benchmarking the difference.
-fn linear_lower_bound(keys: &[NodeId], key: NodeId) -> usize {
-    keys.iter().position(|&k| k >= key).unwrap_or(keys.len())
-}
-
-/// A buffered batch-at-a-time reader over one join input, exposing peeking,
-/// key-directed skipping and whole-group extraction over the batch's sorted
-/// key column.
-struct BatchReader<'a> {
-    input: BoxedPairStream<'a>,
-    buf: PairBatch,
-    pos: usize,
-    done: bool,
-}
-
-impl<'a> BatchReader<'a> {
-    fn new(input: BoxedPairStream<'a>) -> Self {
-        BatchReader {
-            input,
-            buf: PairBatch::new(),
-            pos: 0,
-            done: false,
-        }
-    }
-
-    /// Ensures at least one unconsumed buffered pair, pulling input batches
-    /// as needed. Returns `false` once the input is exhausted.
-    fn fill(&mut self) -> BackendResult<bool> {
-        while !self.done && self.pos >= self.buf.len() {
-            self.pos = 0;
-            if self.input.next_batch(&mut self.buf)? == 0 {
-                self.done = true;
-                self.buf.clear();
-            }
-        }
-        Ok(!self.done)
-    }
-
-    /// The next unconsumed pair, without consuming it.
-    fn peek(&mut self) -> BackendResult<Option<Pair>> {
-        Ok(if self.fill()? {
-            Some(self.buf.get(self.pos))
-        } else {
-            None
-        })
-    }
-
-    /// Consumes the pair last returned by a successful [`peek`](Self::peek).
-    fn advance(&mut self) {
-        self.pos += 1;
-    }
-
-    fn keys(&self, col: KeyCol) -> &[NodeId] {
-        match col {
-            KeyCol::Source => self.buf.sources(),
-            KeyCol::Target => self.buf.targets(),
-        }
-    }
-
-    /// Consumes every pair whose key is < `key` (the key column must be
-    /// non-decreasing, which the merge join's sortedness contract provides).
-    fn skip_until(&mut self, key: NodeId, col: KeyCol, gallop: bool) -> BackendResult<()> {
-        while self.fill()? {
-            let keys = &self.keys(col)[self.pos..];
-            let off = if gallop {
-                gallop_lower_bound(keys, key)
-            } else {
-                linear_lower_bound(keys, key)
-            };
-            self.pos += off;
-            if self.pos < self.buf.len() {
-                return Ok(());
-            }
-        }
-        Ok(())
-    }
-
-    /// Consumes the run of pairs whose key equals `key` (positioned at its
-    /// start) and appends their value column — the *other* column — to `out`.
-    fn take_group(&mut self, key: NodeId, col: KeyCol, out: &mut Vec<NodeId>) -> BackendResult<()> {
-        while self.fill()? {
-            let end = self.pos + self.keys(col)[self.pos..].partition_point(|&k| k <= key);
-            if end == self.pos {
-                return Ok(());
-            }
-            let vals = match col {
-                KeyCol::Source => self.buf.targets(),
-                KeyCol::Target => self.buf.sources(),
-            };
-            out.extend_from_slice(&vals[self.pos..end]);
-            let at_batch_end = end == self.buf.len();
-            self.pos = end;
-            if !at_batch_end {
-                return Ok(());
-            }
-            // The group may continue into the next batch.
-        }
-        Ok(())
-    }
-}
-
-/// Merge join over the shared middle node.
-///
-/// Requires the left input sorted by **target** and the right input sorted by
-/// **source** (the planner arranges this by scanning inverse paths). This is
-/// the join the paper prefers "whenever possible (to make the best use of the
-/// physical sort order of the index)".
-pub struct MergeJoinOp<'a> {
-    left: BatchReader<'a>,
-    right: BatchReader<'a>,
-    gallop: bool,
-    // Scratch buffers reused across matching groups — refilling must not
-    // allocate per group.
-    left_group: Vec<NodeId>,
-    right_group: Vec<NodeId>,
-    out_buf: Vec<Pair>,
-    out_pos: usize,
-    // A backend error is latched: polling again after an error must re-raise
-    // it, never resume merging from half-advanced input cursors.
-    poisoned: Option<BackendError>,
-}
-
-impl<'a> MergeJoinOp<'a> {
-    /// Creates a merge join with galloping advancement. Panics if the inputs
-    /// do not provide the required sort orders — the planner must only emit
-    /// valid merge joins. (Input *errors* are deferred to the first pull.)
-    pub fn new(left: BoxedPairStream<'a>, right: BoxedPairStream<'a>) -> Self {
-        Self::with_advancement(left, right, true)
-    }
-
-    /// Creates a merge join choosing the advancement policy: galloping
-    /// (`true`, the default) or linear scanning (`false`, the pre-vectorized
-    /// behavior, kept for benchmarking). Both produce identical output.
-    pub fn with_advancement(
-        left: BoxedPairStream<'a>,
-        right: BoxedPairStream<'a>,
-        gallop: bool,
-    ) -> Self {
-        assert!(
-            left.sortedness().is_by_target(),
-            "merge join requires the left input sorted by target"
-        );
-        assert!(
-            right.sortedness().is_by_source(),
-            "merge join requires the right input sorted by source"
-        );
-        MergeJoinOp {
-            left: BatchReader::new(left),
-            right: BatchReader::new(right),
-            gallop,
-            left_group: Vec::new(),
-            right_group: Vec::new(),
-            out_buf: Vec::new(),
-            out_pos: 0,
-            poisoned: None,
-        }
-    }
-
-    /// Gathers the next group of matching pairs into the reused `out_buf`.
-    fn refill(&mut self) -> BackendResult<bool> {
-        self.out_buf.clear();
-        self.out_pos = 0;
-        loop {
-            let (Some(lp), Some(rp)) = (self.left.peek()?, self.right.peek()?) else {
-                return Ok(false);
-            };
-            let (lkey, rkey) = (lp.1, rp.0);
-            if lkey < rkey {
-                self.left.skip_until(rkey, KeyCol::Target, self.gallop)?;
-            } else if rkey < lkey {
-                self.right.skip_until(lkey, KeyCol::Source, self.gallop)?;
-            } else {
-                // Collect the full group on both sides, then cross-product.
-                self.left_group.clear();
-                self.right_group.clear();
-                self.left
-                    .take_group(lkey, KeyCol::Target, &mut self.left_group)?;
-                self.right
-                    .take_group(lkey, KeyCol::Source, &mut self.right_group)?;
-                self.out_buf
-                    .reserve(self.left_group.len() * self.right_group.len());
-                for &x in &self.left_group {
-                    for &z in &self.right_group {
-                        self.out_buf.push((x, z));
-                    }
-                }
-                return Ok(true);
-            }
-        }
-    }
-}
-
-impl PairStream for MergeJoinOp<'_> {
-    fn next_pair(&mut self) -> BackendResult<Option<Pair>> {
-        if let Some(e) = &self.poisoned {
-            return Err(e.clone());
-        }
-        loop {
-            if self.out_pos < self.out_buf.len() {
-                let pair = self.out_buf[self.out_pos];
-                self.out_pos += 1;
-                return Ok(Some(pair));
-            }
-            match self.refill() {
-                Ok(true) => {}
-                Ok(false) => return Ok(None),
-                Err(e) => {
-                    self.poisoned = Some(e.clone());
-                    return Err(e);
-                }
-            }
-        }
-    }
-
-    fn next_batch(&mut self, batch: &mut PairBatch) -> BackendResult<usize> {
-        if let Some(e) = &self.poisoned {
-            return Err(e.clone());
-        }
-        batch.clear();
-        loop {
-            if self.out_pos < self.out_buf.len() {
-                let take = (self.out_buf.len() - self.out_pos).min(batch.remaining_capacity());
-                batch.extend_from_pairs(&self.out_buf[self.out_pos..self.out_pos + take]);
-                self.out_pos += take;
-                if batch.is_full() {
-                    return Ok(batch.len());
-                }
-                continue;
-            }
-            match self.refill() {
-                Ok(true) => {}
-                Ok(false) => return Ok(batch.len()),
-                Err(e) => {
-                    self.poisoned = Some(e.clone());
-                    return Err(e);
-                }
-            }
-        }
-    }
-
-    fn sortedness(&self) -> Sortedness {
-        Sortedness::Unsorted
-    }
-}
 
 /// A flat open-addressing hash table mapping middle nodes to contiguous
 /// ranges of right-side targets.
@@ -336,20 +70,20 @@ impl FlatTable {
         ((key.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize
     }
 
-    /// The `vals` range joined to `key`, if any.
-    fn probe(&self, key: NodeId) -> Option<(usize, usize)> {
+    /// The targets joined to `key` (empty if none).
+    fn probe(&self, key: NodeId) -> &[NodeId] {
         if self.groups.is_empty() {
-            return None;
+            return &[];
         }
         let mask = self.slots.len() - 1;
         let mut slot = Self::hash(key) & mask;
         loop {
             match self.slots[slot] {
-                0 => return None,
+                0 => return &[],
                 g => {
                     let (k, start, len) = self.groups[(g - 1) as usize];
                     if k == key {
-                        return Some((start as usize, (start + len) as usize));
+                        return &self.vals[start as usize..(start + len) as usize];
                     }
                 }
             }
@@ -358,39 +92,60 @@ impl FlatTable {
     }
 }
 
-/// Hash join over the shared middle node.
+/// Composition join over the shared middle node.
 ///
-/// The right input is materialized into a flat open-addressing table keyed
-/// by its source
-/// node; the left input is streamed batch-at-a-time and probed by its target
-/// node. Used whenever the merge join's sort-order requirements cannot be met
-/// (e.g. when one input is an intermediate join result).
-pub struct HashJoinOp<'a> {
-    left: BatchReader<'a>,
+/// The right input is drained once into a flat hash table keyed by its
+/// source. The left input must arrive ordered by source (any order within a
+/// source): for each source group the join marks the matched targets in a
+/// bitset over the target nodes, remembering which it touched, then sorts
+/// the touched list, emits it and clears exactly those bits. The output is
+/// strictly ascending in `(source, target)`.
+///
+/// A left input that does not declare source order fails on the first pull;
+/// one that declares it but breaks it mid-stream fails when the break is
+/// seen. Either way the join reports a [`BackendError`] instead of wrong
+/// pairs.
+pub struct JoinOp<'a> {
+    left: BoxedPairStream<'a>,
     right: Option<BoxedPairStream<'a>>,
     table: FlatTable,
-    // Matches of the current probe pair still to emit (resume state when an
-    // output batch fills mid-probe): source node + `vals` range.
-    cur_src: NodeId,
-    cur_start: usize,
-    cur_end: usize,
+    /// The left batch being consumed and the position in it.
+    buf: PairBatch,
+    pos: usize,
+    left_done: bool,
+    /// The left source whose targets `gathered` collects.
+    group: Option<NodeId>,
+    /// One bit per target node, set while the node is in `gathered`.
+    marks: Vec<u64>,
+    gathered: Vec<NodeId>,
+    /// A completed group, sorted, emitted from `emitted` on.
+    out_source: NodeId,
+    out: Vec<NodeId>,
+    emitted: usize,
     // A backend error is latched: polling again after an error must re-raise
-    // it, never stream answers computed from a partially built hash table.
+    // it, never resume from a half-consumed input or a partial hash table.
     poisoned: Option<BackendError>,
 }
 
-impl<'a> HashJoinOp<'a> {
-    /// Creates a hash join; the right side is built into the hash table on
-    /// first use.
+impl<'a> JoinOp<'a> {
+    /// Creates a join of `left ∘ right`; the right side is built into the
+    /// hash table on first use.
     pub fn new(left: BoxedPairStream<'a>, right: BoxedPairStream<'a>) -> Self {
-        HashJoinOp {
-            left: BatchReader::new(left),
+        let poisoned = (!left.sortedness().is_by_source()).then(|| order_error("join left input"));
+        JoinOp {
+            left,
             right: Some(right),
             table: FlatTable::default(),
-            cur_src: NodeId(0),
-            cur_start: 0,
-            cur_end: 0,
-            poisoned: None,
+            buf: PairBatch::new(),
+            pos: 0,
+            left_done: false,
+            group: None,
+            marks: Vec::new(),
+            gathered: Vec::new(),
+            out_source: NodeId(0),
+            out: Vec::new(),
+            emitted: 0,
+            poisoned,
         }
     }
 
@@ -401,86 +156,137 @@ impl<'a> HashJoinOp<'a> {
             while right.next_batch(&mut batch)? > 0 {
                 pairs.extend(batch.iter());
             }
+            let max_target = pairs.iter().map(|&(_, z)| z.0 as usize + 1).max();
+            self.marks = vec![0; max_target.unwrap_or(0).div_ceil(64)];
             self.table = FlatTable::build(pairs);
         }
         Ok(())
     }
 
-    /// Moves to the next probing left pair with at least one match.
-    /// Returns `false` when the left input is exhausted.
-    fn next_probe(&mut self) -> BackendResult<bool> {
-        loop {
-            let Some((src, tgt)) = self.left.peek()? else {
-                return Ok(false);
-            };
-            self.left.advance();
-            if let Some((start, end)) = self.table.probe(tgt) {
-                self.cur_src = src;
-                self.cur_start = start;
-                self.cur_end = end;
-                return Ok(true);
+    /// Completes the current group: sorts its targets into `out` and clears
+    /// their marks. Returns `false` if there was no group or it matched
+    /// nothing.
+    fn finish_group(&mut self) -> bool {
+        let Some(source) = self.group.take() else {
+            return false;
+        };
+        if self.gathered.is_empty() {
+            return false;
+        }
+        if self.gathered.len() > 2 * self.marks.len() {
+            // A dense group: reading the set bits in order is cheaper than
+            // sorting the touched list.
+            self.out.clear();
+            for (w, word) in self.marks.iter_mut().enumerate() {
+                let mut bits = std::mem::take(word);
+                while bits != 0 {
+                    self.out.push(NodeId(w as u32 * 64 + bits.trailing_zeros()));
+                    bits &= bits - 1;
+                }
             }
+        } else {
+            self.gathered.sort_unstable();
+            for &z in &self.gathered {
+                self.marks[z.0 as usize / 64] &= !(1 << (z.0 % 64));
+            }
+            std::mem::swap(&mut self.out, &mut self.gathered);
+        }
+        self.gathered.clear();
+        self.out_source = source;
+        self.emitted = 0;
+        true
+    }
+
+    /// Makes sure `out` holds pairs still to emit. Returns `false` once the
+    /// join is exhausted.
+    fn fill(&mut self) -> BackendResult<bool> {
+        if self.emitted < self.out.len() {
+            return Ok(true);
+        }
+        self.ensure_built()?;
+        loop {
+            if self.pos == self.buf.len() {
+                self.pos = 0;
+                if self.left_done || self.left.next_batch(&mut self.buf)? == 0 {
+                    self.left_done = true;
+                    self.buf.clear();
+                    return Ok(self.finish_group());
+                }
+            }
+            let source = self.buf.sources()[self.pos];
+            if let Some(group) = self.group {
+                if source < group {
+                    return Err(order_error("join left input"));
+                }
+                if source != group && self.finish_group() {
+                    return Ok(true);
+                }
+            }
+            self.group = Some(source);
+            let sources = &self.buf.sources()[self.pos..];
+            let run = sources
+                .iter()
+                .position(|&s| s != source)
+                .unwrap_or(sources.len());
+            for &middle in &self.buf.targets()[self.pos..self.pos + run] {
+                for &z in self.table.probe(middle) {
+                    let (word, bit) = (z.0 as usize / 64, 1u64 << (z.0 % 64));
+                    if self.marks[word] & bit == 0 {
+                        self.marks[word] |= bit;
+                        self.gathered.push(z);
+                    }
+                }
+            }
+            self.pos += run;
         }
     }
 
     fn next_pair_inner(&mut self) -> BackendResult<Option<Pair>> {
-        self.ensure_built()?;
-        loop {
-            if self.cur_start < self.cur_end {
-                let pair = (self.cur_src, self.table.vals[self.cur_start]);
-                self.cur_start += 1;
-                return Ok(Some(pair));
-            }
-            if !self.next_probe()? {
-                return Ok(None);
-            }
+        if !self.fill()? {
+            return Ok(None);
         }
+        let pair = (self.out_source, self.out[self.emitted]);
+        self.emitted += 1;
+        Ok(Some(pair))
     }
 
     fn next_batch_inner(&mut self, batch: &mut PairBatch) -> BackendResult<usize> {
-        self.ensure_built()?;
         batch.clear();
-        loop {
-            while self.cur_start < self.cur_end && !batch.is_full() {
-                batch.push((self.cur_src, self.table.vals[self.cur_start]));
-                self.cur_start += 1;
-            }
-            if batch.is_full() || !self.next_probe()? {
-                return Ok(batch.len());
-            }
+        while !batch.is_full() && self.fill()? {
+            let take = (self.out.len() - self.emitted).min(batch.remaining_capacity());
+            batch.extend_from_targets(
+                self.out_source,
+                &self.out[self.emitted..self.emitted + take],
+            );
+            self.emitted += take;
         }
+        Ok(batch.len())
+    }
+
+    /// Runs one pull, latching its error.
+    fn guarded<T>(&mut self, pull: impl FnOnce(&mut Self) -> BackendResult<T>) -> BackendResult<T> {
+        if let Some(e) = &self.poisoned {
+            return Err(e.clone());
+        }
+        pull(self).inspect_err(|e| self.poisoned = Some(e.clone()))
     }
 }
 
-impl PairStream for HashJoinOp<'_> {
+impl PairStream for JoinOp<'_> {
     fn next_pair(&mut self) -> BackendResult<Option<Pair>> {
-        if let Some(e) = &self.poisoned {
-            return Err(e.clone());
-        }
-        match self.next_pair_inner() {
-            Err(e) => {
-                self.poisoned = Some(e.clone());
-                Err(e)
-            }
-            ok => ok,
-        }
+        self.guarded(Self::next_pair_inner)
     }
 
     fn next_batch(&mut self, batch: &mut PairBatch) -> BackendResult<usize> {
-        if let Some(e) = &self.poisoned {
-            return Err(e.clone());
-        }
-        match self.next_batch_inner(batch) {
-            Err(e) => {
-                self.poisoned = Some(e.clone());
-                Err(e)
-            }
-            ok => ok,
-        }
+        self.guarded(|join| join.next_batch_inner(batch))
     }
 
     fn sortedness(&self) -> Sortedness {
-        Sortedness::Unsorted
+        Sortedness::BySource
+    }
+
+    fn is_distinct(&self) -> bool {
+        true
     }
 }
 
@@ -488,7 +294,7 @@ impl PairStream for HashJoinOp<'_> {
 mod tests {
     use super::*;
     use crate::operator::collect_pairs;
-    use crate::scan::MaterializedOp;
+    use crate::scan::{EpsilonScanOp, MaterializedOp};
 
     fn n(v: u32) -> NodeId {
         NodeId(v)
@@ -509,113 +315,72 @@ mod tests {
         out
     }
 
-    fn by_target(mut pairs: Vec<Pair>) -> MaterializedOp {
-        pairs.sort_unstable_by_key(|&(a, b)| (b, a));
-        MaterializedOp::new(pairs, Sortedness::ByTarget)
-    }
-
     fn by_source(mut pairs: Vec<Pair>) -> MaterializedOp {
         pairs.sort_unstable();
         MaterializedOp::new(pairs, Sortedness::BySource)
     }
 
-    #[test]
-    fn merge_join_composes_relations() {
-        let left = vec![(n(1), n(10)), (n(2), n(10)), (n(3), n(11)), (n(4), n(12))];
-        let right = vec![
-            (n(10), n(20)),
-            (n(10), n(21)),
-            (n(12), n(22)),
-            (n(13), n(23)),
-        ];
-        let join = MergeJoinOp::new(
-            Box::new(by_target(left.clone())),
-            Box::new(by_source(right.clone())),
-        );
-        assert_eq!(collect_pairs(join).unwrap(), compose(&left, &right));
+    fn join(left: Vec<Pair>, right: Vec<Pair>) -> JoinOp<'static> {
+        JoinOp::new(Box::new(by_source(left)), Box::new(by_source(right)))
     }
 
     #[test]
     fn hash_join_composes_relations() {
+        // The right side is hashed and may arrive in any order.
         let left = vec![(n(1), n(10)), (n(2), n(10)), (n(3), n(11)), (n(4), n(12))];
         let right = vec![
-            (n(10), n(20)),
+            (n(13), n(23)),
             (n(10), n(21)),
             (n(12), n(22)),
-            (n(13), n(23)),
+            (n(10), n(20)),
         ];
-        let join = HashJoinOp::new(
-            Box::new(MaterializedOp::new(left.clone(), Sortedness::Unsorted)),
+        let join = JoinOp::new(
+            Box::new(by_source(left.clone())),
             Box::new(MaterializedOp::new(right.clone(), Sortedness::Unsorted)),
         );
+        assert!(join.is_distinct());
+        assert_eq!(join.sortedness(), Sortedness::BySource);
         assert_eq!(collect_pairs(join).unwrap(), compose(&left, &right));
     }
 
     #[test]
     fn joins_agree_on_duplicate_heavy_inputs() {
-        // Many pairs sharing the same middle node exercise group handling.
-        let left: Vec<Pair> = (0..20).map(|i| (n(i), n(100 + i % 3))).collect();
-        let right: Vec<Pair> = (0..15).map(|i| (n(100 + i % 3), n(200 + i))).collect();
-        let merge = MergeJoinOp::new(
-            Box::new(by_target(left.clone())),
-            Box::new(by_source(right.clone())),
-        );
-        let hash = HashJoinOp::new(
-            Box::new(MaterializedOp::new(left.clone(), Sortedness::Unsorted)),
-            Box::new(MaterializedOp::new(right.clone(), Sortedness::Unsorted)),
-        );
+        // Many pairs sharing the same middle node exercise group handling,
+        // and every source reaches each target through several middles.
+        let left: Vec<Pair> = (0..60).map(|i| (n(i / 3), n(100 + i % 3))).collect();
+        let right: Vec<Pair> = (0..15).map(|i| (n(100 + i % 3), n(200 + i % 5))).collect();
         let expected = compose(&left, &right);
-        assert_eq!(collect_pairs(merge).unwrap(), expected);
-        assert_eq!(collect_pairs(hash).unwrap(), expected);
         assert_eq!(expected.len(), 20 * 5);
+        assert_eq!(collect_pairs(join(left, right)).unwrap(), expected);
     }
 
     #[test]
-    fn galloping_and_linear_advancement_agree_on_skewed_runs() {
-        // One side has long runs of keys the other side never matches — the
-        // workload galloping exists for. Include runs that straddle batch
-        // boundaries (well over BATCH_CAPACITY pairs per key).
-        let mut left: Vec<Pair> = Vec::new();
-        for key in [5u32, 1000, 5000] {
-            for i in 0..1500 {
-                left.push((n(i), n(key)));
-            }
-        }
-        let right: Vec<Pair> = (0..3000).map(|i| (n(2 * i), n(i))).collect();
-        let expected = compose(&left, &right);
-        for gallop in [false, true] {
-            let join = MergeJoinOp::with_advancement(
-                Box::new(by_target(left.clone())),
-                Box::new(by_source(right.clone())),
-                gallop,
-            );
-            assert_eq!(collect_pairs(join).unwrap(), expected, "gallop={gallop}");
-        }
+    fn groups_straddling_batches_stay_one_group() {
+        // One source with far more middles than a batch holds: its targets
+        // must be gathered across batches and emitted once, in order.
+        let left: Vec<Pair> = (0..3000).map(|i| (n(7), n(i))).collect();
+        let right: Vec<Pair> = (0..3000).map(|i| (n(i), n(i % 1500))).collect();
+        let out = collect_pairs(join(left.clone(), right.clone())).unwrap();
+        assert_eq!(out, compose(&left, &right));
+        assert_eq!(out.len(), 1500);
     }
 
     #[test]
-    fn gallop_lower_bound_matches_partition_point() {
-        let keys: Vec<NodeId> = [0u32, 1, 1, 3, 7, 7, 7, 8, 20, 40, 41, 42, 90]
-            .iter()
-            .map(|&v| n(v))
-            .collect();
-        for probe in 0..=100u32 {
-            let expected = keys.partition_point(|&k| k < n(probe));
-            assert_eq!(gallop_lower_bound(&keys, n(probe)), expected, "{probe}");
-            assert_eq!(linear_lower_bound(&keys, n(probe)), expected, "{probe}");
-        }
-        assert_eq!(gallop_lower_bound(&[], n(1)), 0);
+    fn epsilon_composes_on_either_side() {
+        let rel = vec![(n(0), n(2)), (n(1), n(0)), (n(2), n(2))];
+        let eps = |len| -> BoxedPairStream<'static> { Box::new(EpsilonScanOp::new(len)) };
+        let left = JoinOp::new(eps(3), Box::new(by_source(rel.clone())));
+        assert_eq!(collect_pairs(left).unwrap(), rel);
+        let right = JoinOp::new(Box::new(by_source(rel.clone())), eps(3));
+        assert_eq!(collect_pairs(right).unwrap(), rel);
     }
 
     #[test]
     fn joins_drain_identically_pair_and_batch_wise() {
-        let left: Vec<Pair> = (0..900).map(|i| (n(i), n(i % 7))).collect();
+        let left: Vec<Pair> = (0..900).map(|i| (n(i / 4), n(i % 7))).collect();
         let right: Vec<Pair> = (0..300).map(|i| (n(i % 7), n(i))).collect();
         let pair_wise = {
-            let mut join = MergeJoinOp::new(
-                Box::new(by_target(left.clone())),
-                Box::new(by_source(right.clone())),
-            );
+            let mut join = join(left.clone(), right.clone());
             let mut out = Vec::new();
             while let Some(p) = join.next_pair().unwrap() {
                 out.push(p);
@@ -623,65 +388,32 @@ mod tests {
             out
         };
         let batch_wise = {
-            let mut join = MergeJoinOp::new(
-                Box::new(by_target(left.clone())),
-                Box::new(by_source(right.clone())),
-            );
+            let mut join = join(left.clone(), right.clone());
             let mut out = Vec::new();
-            let mut batch = PairBatch::new();
+            let mut batch = PairBatch::with_capacity(100);
             while join.next_batch(&mut batch).unwrap() > 0 {
                 out.extend(batch.iter());
             }
             out
         };
         assert_eq!(pair_wise, batch_wise);
-        let hash_pair_wise = {
-            let mut join = HashJoinOp::new(
-                Box::new(by_target(left.clone())),
-                Box::new(by_source(right.clone())),
-            );
-            let mut out = Vec::new();
-            while let Some(p) = join.next_pair().unwrap() {
-                out.push(p);
-            }
-            out
-        };
-        let hash_batch_wise = {
-            let mut join = HashJoinOp::new(Box::new(by_target(left)), Box::new(by_source(right)));
-            let mut out = Vec::new();
-            let mut batch = PairBatch::new();
-            while join.next_batch(&mut batch).unwrap() > 0 {
-                out.extend(batch.iter());
-            }
-            out
-        };
-        assert_eq!(hash_pair_wise, hash_batch_wise);
+        assert_eq!(pair_wise, compose(&left, &right));
     }
 
     #[test]
     fn empty_inputs_produce_empty_output() {
         let some = vec![(n(1), n(2))];
-        let merge = MergeJoinOp::new(
-            Box::new(by_target(vec![])),
-            Box::new(by_source(some.clone())),
-        );
-        assert!(collect_pairs(merge).unwrap().is_empty());
-        let hash = HashJoinOp::new(
-            Box::new(MaterializedOp::new(some, Sortedness::Unsorted)),
-            Box::new(MaterializedOp::new(vec![], Sortedness::Unsorted)),
-        );
-        assert!(collect_pairs(hash).unwrap().is_empty());
+        assert!(collect_pairs(join(vec![], some.clone()))
+            .unwrap()
+            .is_empty());
+        assert!(collect_pairs(join(some, vec![])).unwrap().is_empty());
     }
 
     #[test]
     fn disjoint_keys_produce_empty_output() {
         let left = vec![(n(1), n(5)), (n(2), n(6))];
         let right = vec![(n(7), n(1)), (n(8), n(2))];
-        let merge = MergeJoinOp::new(
-            Box::new(by_target(left.clone())),
-            Box::new(by_source(right.clone())),
-        );
-        assert!(collect_pairs(merge).unwrap().is_empty());
+        assert!(collect_pairs(join(left, right)).unwrap().is_empty());
     }
 
     /// A stream that yields one pair, then an error, then (wrongly, like a
@@ -690,15 +422,13 @@ mod tests {
     struct FailingOp {
         yielded: bool,
         errored: bool,
-        sortedness: Sortedness,
     }
 
     impl FailingOp {
-        fn new(sortedness: Sortedness) -> Self {
+        fn new() -> Self {
             FailingOp {
                 yielded: false,
                 errored: false,
-                sortedness,
             }
         }
     }
@@ -717,58 +447,66 @@ mod tests {
         }
 
         fn sortedness(&self) -> Sortedness {
-            self.sortedness
+            Sortedness::BySource
         }
     }
 
     #[test]
     fn joins_stay_poisoned_after_a_backend_error() {
-        // Hash join: the error hits while building the right side; polling
-        // again must re-raise it, not answer from a partial hash table.
-        let mut hash = HashJoinOp::new(
+        // The error hits while building the right side; polling again must
+        // re-raise it, not answer from a partial hash table.
+        let mut build_side = JoinOp::new(
             Box::new(by_source(vec![(n(1), n(10)), (n(2), n(10))])),
-            Box::new(FailingOp::new(Sortedness::BySource)),
+            Box::new(FailingOp::new()),
         );
-        let first = hash.next_pair();
+        let first = build_side.next_pair();
         assert!(first.is_err(), "build-side error must surface");
-        let second = hash.next_pair();
-        assert_eq!(
-            first.unwrap_err(),
-            second.unwrap_err(),
-            "hash join must stay poisoned"
-        );
+        assert_eq!(first.unwrap_err(), build_side.next_pair().unwrap_err());
 
-        // Merge join: the error hits while batching up the left input (the
-        // operator buffers ahead of the first emitted pair).
-        let mut merge = MergeJoinOp::new(
-            Box::new(FailingOp::new(Sortedness::ByTarget)),
+        // The error hits while batching up the left input (the operator
+        // buffers ahead of the first emitted pair).
+        let mut probe_side = JoinOp::new(
+            Box::new(FailingOp::new()),
             Box::new(by_source(vec![(n(10), n(20)), (n(10), n(21))])),
         );
-        let first = merge.next_pair();
+        let first = probe_side.next_pair();
         assert!(first.is_err(), "input error must surface");
-        let second = merge.next_pair();
-        assert_eq!(
-            first.unwrap_err(),
-            second.unwrap_err(),
-            "merge join must stay poisoned"
-        );
+        assert_eq!(first.unwrap_err(), probe_side.next_pair().unwrap_err());
     }
 
     #[test]
-    #[should_panic(expected = "sorted by target")]
-    fn merge_join_rejects_unsorted_left() {
-        let _ = MergeJoinOp::new(
-            Box::new(MaterializedOp::new(vec![], Sortedness::Unsorted)),
+    fn join_rejects_unsorted_left() {
+        // A left input that does not declare source order fails on the first
+        // pull …
+        let mut undeclared = JoinOp::new(
+            Box::new(MaterializedOp::new(
+                vec![(n(1), n(10))],
+                Sortedness::Unsorted,
+            )),
+            Box::new(by_source(vec![(n(10), n(20))])),
+        );
+        let err = undeclared.next_pair().unwrap_err();
+        assert!(err.message().contains("not ordered by source"), "{err}");
+        // … and one that declares it falsely fails when the break is seen,
+        // never emitting a source twice.
+        let mut lying = JoinOp::new(
+            Box::new(MaterializedOp::new(
+                vec![(n(2), n(10)), (n(1), n(10)), (n(2), n(10))],
+                Sortedness::BySource,
+            )),
+            Box::new(by_source(vec![(n(10), n(20))])),
+        );
+        let mut batch = PairBatch::new();
+        assert!(lying.next_batch(&mut batch).is_err());
+        assert!(lying.next_batch(&mut batch).is_err(), "stays poisoned");
+    }
+
+    #[test]
+    fn inverse_ordered_left_is_rejected() {
+        let mut join = JoinOp::new(
+            Box::new(MaterializedOp::new(vec![], Sortedness::ByTarget)),
             Box::new(by_source(vec![])),
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "sorted by source")]
-    fn merge_join_rejects_unsorted_right() {
-        let _ = MergeJoinOp::new(
-            Box::new(by_target(vec![])),
-            Box::new(MaterializedOp::new(vec![], Sortedness::Unsorted)),
-        );
+        assert!(join.next_pair().is_err());
     }
 }

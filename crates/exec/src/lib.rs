@@ -10,15 +10,17 @@
 //!
 //! * [`IndexScanOp`] — a prefix scan of the k-path index, either in its
 //!   natural `(source, target)` order or over the *inverse* path so the pairs
-//!   arrive sorted by target (the trick the paper uses to enable merge
-//!   joins);
-//! * [`MergeJoinOp`] — composition of two streams sorted on the shared join
-//!   node;
-//! * [`HashJoinOp`] — composition when the sort order is not available;
-//! * [`UnionAllOp`] / [`DistinctOp`] — combine disjuncts and enforce set
-//!   semantics;
+//!   arrive sorted by target;
+//! * [`JoinOp`] — composition of a source-ordered stream with any stream,
+//!   emitting each source's targets once, in order;
+//! * [`UnionOp`] — the set union of the disjuncts' streams, as one merge;
 //! * [`EpsilonScanOp`] / [`MaterializedOp`] — the identity relation and
 //!   pre-materialized inputs.
+//!
+//! Forward scans, ε, joins and unions all emit their pairs strictly
+//! ascending in `(source, target)` ([`PairStream::is_distinct`] declares the
+//! "strictly"), so a plan's root stream is already the sorted,
+//! duplicate-free answer.
 //!
 //! Operators move data batch-at-a-time: [`PairStream::next_batch`] fills a
 //! reusable structure-of-arrays [`PairBatch`] per virtual call, while
@@ -32,8 +34,8 @@ pub mod scan;
 pub mod union;
 
 pub use cancel::{CancelGuard, CancelToken, CANCEL_BACKEND};
-pub use join::{HashJoinOp, MergeJoinOp};
+pub use join::JoinOp;
 pub use operator::{collect_pairs, BoxedPairStream, Pair, PairStream, Sortedness};
 pub use pathix_index::backend::{PairBatch, BATCH_CAPACITY};
 pub use scan::{EpsilonScanOp, IndexScanOp, MaterializedOp, ScanOrientation};
-pub use union::{DistinctOp, UnionAllOp};
+pub use union::UnionOp;

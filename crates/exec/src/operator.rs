@@ -1,7 +1,7 @@
 //! The operator protocol shared by all physical operators.
 
 use pathix_graph::NodeId;
-use pathix_index::backend::{BackendResult, PairBatch};
+use pathix_index::backend::{BackendError, BackendResult, PairBatch};
 
 /// A partial query result: the start node of the matched path prefix and the
 /// current frontier node.
@@ -83,6 +83,14 @@ pub trait PairStream {
 
     /// The order guarantee of this stream.
     fn sortedness(&self) -> Sortedness;
+
+    /// `true` if the stream never emits the same pair twice. Joins, unions,
+    /// index scans and ε are distinct; together with
+    /// [`Sortedness::BySource`] this makes a stream strictly ascending in
+    /// `(source, target)` — already the set-semantics answer.
+    fn is_distinct(&self) -> bool {
+        false
+    }
 }
 
 /// Owned, dynamically dispatched pair stream (operators borrow the index, so
@@ -101,19 +109,30 @@ impl<'a> PairStream for BoxedPairStream<'a> {
     fn sortedness(&self) -> Sortedness {
         (**self).sortedness()
     }
+
+    fn is_distinct(&self) -> bool {
+        (**self).is_distinct()
+    }
 }
 
-/// Drains a stream into a sorted, duplicate-free vector — the final
-/// set-semantics answer of an RPQ — or the first backend error encountered.
-/// Drains batch-at-a-time.
+/// The error a join or union reports when an input breaks the source order
+/// it declared or that the operator needs.
+pub(crate) fn order_error(what: &str) -> BackendError {
+    BackendError::new("exec", format!("{what} is not ordered by source"))
+}
+
+/// Drains a stream into a vector, in stream order, or returns the first
+/// backend error encountered. Drains batch-at-a-time.
+///
+/// A plan's root stream is strictly ascending and duplicate-free, so for it
+/// this is the final set-semantics answer; nothing is sorted or deduplicated
+/// here.
 pub fn collect_pairs(mut stream: impl PairStream) -> BackendResult<Vec<Pair>> {
     let mut out = Vec::new();
     let mut batch = PairBatch::new();
     while stream.next_batch(&mut batch)? > 0 {
         out.extend(batch.iter());
     }
-    out.sort_unstable();
-    out.dedup();
     Ok(out)
 }
 
@@ -133,16 +152,11 @@ mod tests {
     }
 
     #[test]
-    fn collect_pairs_sorts_and_dedups() {
+    fn collect_pairs_keeps_stream_order() {
         let n = NodeId;
-        let stream = MaterializedOp::new(
-            vec![(n(3), n(1)), (n(1), n(2)), (n(3), n(1)), (n(0), n(9))],
-            Sortedness::Unsorted,
-        );
-        assert_eq!(
-            collect_pairs(stream).unwrap(),
-            vec![(n(0), n(9)), (n(1), n(2)), (n(3), n(1))]
-        );
+        let pairs = vec![(n(3), n(1)), (n(1), n(2)), (n(3), n(1)), (n(0), n(9))];
+        let stream = MaterializedOp::new(pairs.clone(), Sortedness::Unsorted);
+        assert_eq!(collect_pairs(stream).unwrap(), pairs);
     }
 
     #[test]

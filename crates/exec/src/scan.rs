@@ -10,9 +10,9 @@ use pathix_rpq::ast::inverse_path;
 ///
 /// Scanning the inverse path `p⁻` yields the same relation `p(G)` (after
 /// swapping the pair back into `(source, target)` orientation) but ordered by
-/// the path's **target** — the paper's device for making merge joins
-/// applicable ("the subexpression has been inverted to obtain the correct
-/// sort order").
+/// the path's **target** — the paper's device for obtaining a target-major
+/// sort order ("the subexpression has been inverted to obtain the correct
+/// sort order"). The planner emits forward scans only.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScanOrientation {
     /// Scan `p`: pairs arrive in `(source, target)` order.
@@ -110,6 +110,10 @@ impl PairStream for IndexScanOp<'_> {
             ScanOrientation::Inverse => Sortedness::ByTarget,
         }
     }
+
+    fn is_distinct(&self) -> bool {
+        true
+    }
 }
 
 /// The identity relation `ε(G) = {(n, n) | n ∈ nodes(G)}`.
@@ -150,6 +154,10 @@ impl PairStream for EpsilonScanOp {
 
     fn sortedness(&self) -> Sortedness {
         Sortedness::Both
+    }
+
+    fn is_distinct(&self) -> bool {
+        true
     }
 }
 

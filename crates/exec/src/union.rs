@@ -1,142 +1,164 @@
-//! Union and duplicate elimination.
+//! Union of disjuncts.
 
-use crate::operator::{BoxedPairStream, Pair, PairStream, Sortedness};
-use pathix_index::backend::{BackendResult, PairBatch};
-use std::collections::HashSet;
+use crate::operator::{order_error, BoxedPairStream, Pair, PairStream, Sortedness};
+use pathix_index::backend::{BackendError, BackendResult, PairBatch};
 
-/// Concatenates the outputs of several streams (bag semantics).
+/// One union input with its buffered batch.
+struct Input<'a> {
+    stream: BoxedPairStream<'a>,
+    buf: PairBatch,
+    pos: usize,
+    done: bool,
+}
+
+impl Input<'_> {
+    /// The next unconsumed pair, pulling a batch when the buffer is spent.
+    fn head(&mut self) -> BackendResult<Option<Pair>> {
+        while !self.done && self.pos == self.buf.len() {
+            self.pos = 0;
+            self.done = self.stream.next_batch(&mut self.buf)? == 0;
+        }
+        Ok((!self.done).then(|| self.buf.get(self.pos)))
+    }
+}
+
+/// Set union of source-ordered streams, as one k-way merge.
 ///
 /// The paper's complete physical plan is "formed as a union of the sub-plans"
-/// for the individual disjuncts; a [`DistinctOp`] on top restores set
-/// semantics.
-pub struct UnionAllOp<'a> {
-    inputs: Vec<BoxedPairStream<'a>>,
-    current: usize,
-}
-
-impl<'a> UnionAllOp<'a> {
-    /// Creates a union over `inputs`, drained in order.
-    pub fn new(inputs: Vec<BoxedPairStream<'a>>) -> Self {
-        UnionAllOp { inputs, current: 0 }
-    }
-}
-
-impl PairStream for UnionAllOp<'_> {
-    fn next_pair(&mut self) -> BackendResult<Option<Pair>> {
-        while self.current < self.inputs.len() {
-            if let Some(pair) = self.inputs[self.current].next_pair()? {
-                return Ok(Some(pair));
-            }
-            self.current += 1;
-        }
-        Ok(None)
-    }
-
-    fn next_batch(&mut self, batch: &mut PairBatch) -> BackendResult<usize> {
-        while self.current < self.inputs.len() {
-            let n = self.inputs[self.current].next_batch(batch)?;
-            if n > 0 {
-                return Ok(n);
-            }
-            self.current += 1;
-        }
-        batch.clear();
-        Ok(0)
-    }
-
-    fn sortedness(&self) -> Sortedness {
-        Sortedness::Unsorted
-    }
-}
-
-/// Streaming duplicate elimination.
+/// for the individual disjuncts. Every sub-plan emits its pairs ascending in
+/// `(source, target)`, so the union merges them: it takes the input with the
+/// smallest head, copies that input's run up to the next-smallest head of
+/// the others, and drops any pair equal to the last one it emitted. The
+/// output is strictly ascending — the set union, with no hash set and no
+/// final sort.
 ///
-/// Sorted inputs (`BySource`, `ByTarget` or `Both` — total orders over the
-/// pair) are deduplicated by comparing against the previously emitted pair,
-/// without any side state; unsorted inputs fall back to a hash set of seen
-/// pairs. Both paths emit the first occurrence of each pair in input order.
-pub struct DistinctOp<'a> {
-    input: BoxedPairStream<'a>,
-    sorted: bool,
+/// An input that does not declare source order fails the first pull; one
+/// that breaks the order mid-stream fails when the break is seen.
+pub struct UnionOp<'a> {
+    inputs: Vec<Input<'a>>,
     last: Option<Pair>,
-    seen: HashSet<(u32, u32)>,
-    /// Scratch input batch for the batched pull path, with a resume position
-    /// so survivors that would overflow the output batch stay buffered.
-    buf: PairBatch,
-    buf_pos: usize,
+    /// Merged pairs serving pair-at-a-time pulls; batch pulls drain any
+    /// remainder first so mixed pulls stay in order.
+    pending: PairBatch,
+    pending_pos: usize,
+    // A backend error is latched: polling again after an error must re-raise
+    // it, never resume from half-advanced inputs.
+    poisoned: Option<BackendError>,
 }
 
-impl<'a> DistinctOp<'a> {
-    /// Wraps `input`, suppressing repeated pairs.
-    pub fn new(input: BoxedPairStream<'a>) -> Self {
-        let s = input.sortedness();
-        DistinctOp {
-            input,
-            sorted: s.is_by_source() || s.is_by_target(),
+impl<'a> UnionOp<'a> {
+    /// Creates the union of `inputs`.
+    pub fn new(inputs: Vec<BoxedPairStream<'a>>) -> Self {
+        let poisoned = inputs
+            .iter()
+            .any(|input| !input.sortedness().is_by_source())
+            .then(|| order_error("union input"));
+        UnionOp {
+            inputs: inputs
+                .into_iter()
+                .map(|stream| Input {
+                    stream,
+                    buf: PairBatch::new(),
+                    pos: 0,
+                    done: false,
+                })
+                .collect(),
             last: None,
-            seen: HashSet::new(),
-            buf: PairBatch::new(),
-            buf_pos: 0,
+            pending: PairBatch::new(),
+            pending_pos: 0,
+            poisoned,
         }
     }
 
-    /// `true` if `pair` has not been seen before (and records it).
-    fn fresh(&mut self, pair: Pair) -> bool {
-        if self.sorted {
-            if self.last == Some(pair) {
-                return false;
+    /// Clears `batch` and fills it with the next merged pairs.
+    fn merge_into(&mut self, batch: &mut PairBatch) -> BackendResult<usize> {
+        batch.clear();
+        while !batch.is_full() {
+            // The input with the smallest head, and the smallest head of the
+            // others: everything up to it can be copied without comparing.
+            let mut min: Option<(Pair, usize)> = None;
+            let mut bound: Option<Pair> = None;
+            for (i, input) in self.inputs.iter_mut().enumerate() {
+                let Some(head) = input.head()? else {
+                    continue;
+                };
+                match min {
+                    Some((m, _)) if head >= m => bound = Some(bound.map_or(head, |b| b.min(head))),
+                    _ => {
+                        bound = min.map(|(m, _)| m);
+                        min = Some((head, i));
+                    }
+                }
             }
-            self.last = Some(pair);
-            true
-        } else {
-            self.seen.insert((pair.0 .0, pair.1 .0))
+            let Some((_, i)) = min else {
+                break;
+            };
+            let input = &mut self.inputs[i];
+            while input.pos < input.buf.len() && !batch.is_full() {
+                let pair = input.buf.get(input.pos);
+                if bound.is_some_and(|b| pair > b) {
+                    break;
+                }
+                match self.last {
+                    Some(last) if pair < last => return Err(order_error("union input")),
+                    Some(last) if pair == last => {}
+                    _ => {
+                        batch.push(pair);
+                        self.last = Some(pair);
+                    }
+                }
+                input.pos += 1;
+            }
         }
+        Ok(batch.len())
+    }
+
+    /// Runs one pull, latching its error.
+    fn guarded<T>(&mut self, pull: impl FnOnce(&mut Self) -> BackendResult<T>) -> BackendResult<T> {
+        if let Some(e) = &self.poisoned {
+            return Err(e.clone());
+        }
+        pull(self).inspect_err(|e| self.poisoned = Some(e.clone()))
     }
 }
 
-impl PairStream for DistinctOp<'_> {
+impl PairStream for UnionOp<'_> {
     fn next_pair(&mut self) -> BackendResult<Option<Pair>> {
-        loop {
-            if self.buf_pos < self.buf.len() {
-                let pair = self.buf.get(self.buf_pos);
-                self.buf_pos += 1;
-                if self.fresh(pair) {
-                    return Ok(Some(pair));
+        self.guarded(|union| {
+            if union.pending_pos == union.pending.len() {
+                union.pending_pos = 0;
+                let mut pending = std::mem::take(&mut union.pending);
+                let merged = union.merge_into(&mut pending);
+                union.pending = pending;
+                if merged? == 0 {
+                    return Ok(None);
                 }
-                continue;
             }
-            let Some(pair) = self.input.next_pair()? else {
-                return Ok(None);
-            };
-            if self.fresh(pair) {
-                return Ok(Some(pair));
-            }
-        }
+            union.pending_pos += 1;
+            Ok(Some(union.pending.get(union.pending_pos - 1)))
+        })
     }
 
     fn next_batch(&mut self, batch: &mut PairBatch) -> BackendResult<usize> {
-        batch.clear();
-        loop {
-            while self.buf_pos < self.buf.len() && !batch.is_full() {
-                let pair = self.buf.get(self.buf_pos);
-                self.buf_pos += 1;
-                if self.fresh(pair) {
-                    batch.push(pair);
+        self.guarded(|union| {
+            if union.pending_pos < union.pending.len() {
+                batch.clear();
+                while union.pending_pos < union.pending.len() && !batch.is_full() {
+                    batch.push(union.pending.get(union.pending_pos));
+                    union.pending_pos += 1;
                 }
-            }
-            if batch.is_full() {
                 return Ok(batch.len());
             }
-            self.buf_pos = 0;
-            if self.input.next_batch(&mut self.buf)? == 0 {
-                self.buf.clear();
-                return Ok(batch.len());
-            }
-        }
+            union.merge_into(batch)
+        })
     }
 
     fn sortedness(&self) -> Sortedness {
-        self.input.sortedness()
+        Sortedness::BySource
+    }
+
+    fn is_distinct(&self) -> bool {
+        true
     }
 }
 
@@ -144,65 +166,63 @@ impl PairStream for DistinctOp<'_> {
 mod tests {
     use super::*;
     use crate::operator::collect_pairs;
-    use crate::scan::MaterializedOp;
+    use crate::scan::{EpsilonScanOp, MaterializedOp};
     use pathix_graph::NodeId;
 
     fn n(v: u32) -> NodeId {
         NodeId(v)
     }
 
-    fn mat(pairs: Vec<Pair>) -> BoxedPairStream<'static> {
-        Box::new(MaterializedOp::new(pairs, Sortedness::Unsorted))
+    fn sorted(mut pairs: Vec<Pair>) -> BoxedPairStream<'static> {
+        pairs.sort_unstable();
+        Box::new(MaterializedOp::new(pairs, Sortedness::BySource))
     }
 
     #[test]
-    fn union_concatenates_all_inputs() {
-        let union = UnionAllOp::new(vec![
-            mat(vec![(n(1), n(2))]),
-            mat(vec![]),
-            mat(vec![(n(3), n(4)), (n(1), n(2))]),
+    fn union_merges_all_inputs() {
+        let union = UnionOp::new(vec![
+            sorted(vec![(n(1), n(2)), (n(4), n(0))]),
+            sorted(vec![]),
+            sorted(vec![(n(3), n(4)), (n(1), n(2)), (n(1), n(5))]),
+            Box::new(EpsilonScanOp::new(2)),
         ]);
-        let pairs = collect_pairs(union).unwrap();
-        assert_eq!(pairs, vec![(n(1), n(2)), (n(3), n(4))]);
+        assert!(union.is_distinct());
+        assert_eq!(
+            collect_pairs(union).unwrap(),
+            vec![
+                (n(0), n(0)),
+                (n(1), n(1)),
+                (n(1), n(2)),
+                (n(1), n(5)),
+                (n(3), n(4)),
+                (n(4), n(0)),
+            ]
+        );
     }
 
     #[test]
     fn union_of_nothing_is_empty() {
-        let union = UnionAllOp::new(vec![]);
+        let union = UnionOp::new(vec![]);
         assert!(collect_pairs(union).unwrap().is_empty());
     }
 
     #[test]
     fn union_batches_cross_input_boundaries() {
-        let mut union = UnionAllOp::new(vec![
-            mat(vec![(n(1), n(2)), (n(3), n(4))]),
-            mat(vec![]),
-            mat(vec![(n(5), n(6))]),
-        ]);
+        // Duplicates of one pair straddle the batch capacity in both inputs.
+        let mut a = vec![(n(0), n(1)); 1200];
+        a.push((n(3), n(0)));
+        let b = vec![(n(0), n(1)); 700];
+        let mut union = UnionOp::new(vec![sorted(a), sorted(b)]);
         let mut batch = PairBatch::with_capacity(8);
         let mut out = Vec::new();
         while union.next_batch(&mut batch).unwrap() > 0 {
             out.extend(batch.iter());
         }
-        assert_eq!(out, vec![(n(1), n(2)), (n(3), n(4)), (n(5), n(6))]);
+        assert_eq!(out, vec![(n(0), n(1)), (n(3), n(0))]);
     }
 
-    #[test]
-    fn distinct_removes_duplicates_preserving_first_occurrence() {
-        let mut distinct = DistinctOp::new(mat(vec![
-            (n(5), n(6)),
-            (n(1), n(2)),
-            (n(5), n(6)),
-            (n(1), n(2)),
-            (n(7), n(8)),
-        ]));
-        let mut out = Vec::new();
-        while let Some(p) = distinct.next_pair().unwrap() {
-            out.push(p);
-        }
-        assert_eq!(out, vec![(n(5), n(6)), (n(1), n(2)), (n(7), n(8))]);
-    }
-
+    /// The union is the plan's only distinct: over a single sorted input it
+    /// drops repeats by comparing each pair with the last one emitted.
     #[test]
     fn distinct_on_sorted_input_needs_no_side_set() {
         let pairs = vec![
@@ -213,15 +233,13 @@ mod tests {
             (n(2), n(0)),
             (n(2), n(0)),
         ];
-        let inner = Box::new(MaterializedOp::new(pairs, Sortedness::BySource));
-        let mut distinct = DistinctOp::new(inner);
+        let mut union = UnionOp::new(vec![sorted(pairs)]);
         let mut out = Vec::new();
         let mut batch = PairBatch::with_capacity(4);
-        while distinct.next_batch(&mut batch).unwrap() > 0 {
+        while union.next_batch(&mut batch).unwrap() > 0 {
             out.extend(batch.iter());
         }
         assert_eq!(out, vec![(n(1), n(2)), (n(1), n(3)), (n(2), n(0))]);
-        assert!(distinct.seen.is_empty(), "sorted dedup must not hash");
     }
 
     #[test]
@@ -229,21 +247,44 @@ mod tests {
         // 1200 copies of one pair straddle the default batch capacity.
         let mut pairs = vec![(n(0), n(1)); 1200];
         pairs.extend(vec![(n(3), n(0)); 700]);
-        let inner = Box::new(MaterializedOp::new(pairs, Sortedness::BySource));
-        let distinct = DistinctOp::new(inner);
+        let union = UnionOp::new(vec![sorted(pairs)]);
         assert_eq!(
-            collect_pairs(distinct).unwrap(),
+            collect_pairs(union).unwrap(),
             vec![(n(0), n(1)), (n(3), n(0))]
         );
     }
 
     #[test]
-    fn distinct_preserves_claimed_order_of_input() {
-        let inner = Box::new(MaterializedOp::new(
-            vec![(n(1), n(1)), (n(2), n(2))],
+    fn mixed_pair_and_batch_pulls_observe_each_pair_once() {
+        let inputs = || {
+            vec![
+                sorted((0..50).map(|i| (n(i), n(i))).collect()),
+                sorted((0..50).map(|i| (n(i), n(i + 1))).collect()),
+            ]
+        };
+        let reference = collect_pairs(UnionOp::new(inputs())).unwrap();
+        let mut union = UnionOp::new(inputs());
+        let mut mixed = vec![union.next_pair().unwrap().unwrap()];
+        let mut batch = PairBatch::with_capacity(7);
+        while union.next_batch(&mut batch).unwrap() > 0 {
+            mixed.extend(batch.iter());
+        }
+        assert_eq!(mixed, reference);
+        assert_eq!(mixed.len(), 100);
+    }
+
+    #[test]
+    fn unordered_inputs_are_rejected() {
+        let undeclared: BoxedPairStream<'static> =
+            Box::new(MaterializedOp::new(vec![], Sortedness::Unsorted));
+        assert!(UnionOp::new(vec![undeclared]).next_pair().is_err());
+        let lying: BoxedPairStream<'static> = Box::new(MaterializedOp::new(
+            vec![(n(2), n(0)), (n(1), n(0))],
             Sortedness::BySource,
         ));
-        let distinct = DistinctOp::new(inner);
-        assert_eq!(distinct.sortedness(), Sortedness::BySource);
+        let mut union = UnionOp::new(vec![lying, sorted(vec![(n(5), n(5))])]);
+        let mut batch = PairBatch::new();
+        assert!(union.next_batch(&mut batch).is_err());
+        assert!(union.next_pair().is_err(), "stays poisoned");
     }
 }

@@ -83,8 +83,8 @@ pub const BATCH_CAPACITY: usize = 1024;
 /// movement of the batch-at-a-time execution engine.
 ///
 /// Sources and targets are stored as two parallel columns so that operators
-/// that only look at one side of a pair (merge-join key advancement, hash
-/// probes, fence checks) scan a dense `&[NodeId]` instead of striding over
+/// that only look at one side of a pair (source grouping, hash probes, fence
+/// checks) scan a dense `&[NodeId]` instead of striding over
 /// tuples. A batch has a fixed fill target (`capacity`); producers append up
 /// to that many pairs per call and the buffer's allocations are reused across
 /// refills.
@@ -181,6 +181,13 @@ impl PairBatch {
     pub fn extend_from_pairs(&mut self, pairs: &[(NodeId, NodeId)]) {
         self.sources.extend(pairs.iter().map(|&(s, _)| s));
         self.targets.extend(pairs.iter().map(|&(_, t)| t));
+    }
+
+    /// Appends one pair per target, all sharing `source`.
+    pub fn extend_from_targets(&mut self, source: NodeId, targets: &[NodeId]) {
+        self.sources
+            .resize(self.sources.len() + targets.len(), source);
+        self.targets.extend_from_slice(targets);
     }
 
     /// Swaps the two columns in place — an O(1) whole-batch pair swap used by

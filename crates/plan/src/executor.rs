@@ -5,16 +5,17 @@
 //! Every entry point returns a `Result`: disk-resident backends surface I/O
 //! failures as [`pathix_index::BackendError`]s instead of panicking.
 
-use crate::plan::{JoinAlgorithm, PhysicalPlan};
+use crate::plan::PhysicalPlan;
 use pathix_exec::{
-    collect_pairs, BoxedPairStream, CancelGuard, CancelToken, DistinctOp, EpsilonScanOp,
-    HashJoinOp, IndexScanOp, MergeJoinOp, Pair, PairBatch, PairStream, UnionAllOp,
+    collect_pairs, BoxedPairStream, CancelGuard, CancelToken, EpsilonScanOp, IndexScanOp, JoinOp,
+    Pair, PairBatch, PairStream, UnionOp,
 };
 use pathix_index::{BackendResult, PathIndexBackend};
 use std::time::{Duration, Instant};
 
 /// Executes `plan` against `index`, returning the answer as a sorted,
-/// duplicate-free pair list (the paper's set semantics).
+/// duplicate-free pair list (the paper's set semantics). The operator tree
+/// emits exactly that, so nothing is sorted or deduplicated afterwards.
 pub fn execute<B: PathIndexBackend + ?Sized>(
     plan: &PhysicalPlan,
     index: &B,
@@ -27,18 +28,20 @@ pub fn execute<B: PathIndexBackend + ?Sized>(
 pub struct ExecutionStats {
     /// Wall-clock time spent in the operator tree.
     pub elapsed: Duration,
-    /// Number of result pairs after duplicate elimination.
+    /// Number of distinct result pairs.
     pub result_pairs: usize,
-    /// Number of pairs pulled from the root of the operator tree, before
-    /// the executor's final sort/dedup and before any consumer-side `limit`.
-    /// (Union plans carry a distinct operator inside the tree, so their root
-    /// already emits deduplicated pairs; join-rooted plans can emit
-    /// duplicates.) A consumer that stops early pulls fewer pairs than a
-    /// full drain, which makes early termination observable.
+    /// Number of pairs pulled from the root of the operator tree. Every
+    /// operator emits its pairs strictly ascending and duplicate-free, so a
+    /// full drain pulls exactly `result_pairs`. A cursor can pull a
+    /// different number: it stops early at a `limit`, and its bindings
+    /// filter pairs after they are pulled. That makes early termination
+    /// observable.
     pub pairs_pulled: usize,
     /// Number of joins in the executed plan.
     pub joins: usize,
-    /// How many of those were merge joins.
+    /// Always 0: the engine has one join operator, which hashes its right
+    /// input and reads its left input in source order; no merge join is
+    /// left. Kept so existing readers of the statistics still compile.
     pub merge_joins: usize,
 }
 
@@ -54,22 +57,22 @@ pub fn execute_with_stats<B: PathIndexBackend + ?Sized>(
     while stream.next_batch(&mut batch)? > 0 {
         result.extend(batch.iter());
     }
-    let pairs_pulled = result.len();
-    result.sort_unstable();
-    result.dedup();
+    debug_assert!(
+        result.windows(2).all(|w| w[0] < w[1]),
+        "the operator tree must emit strictly ascending pairs"
+    );
     let stats = ExecutionStats {
         elapsed: start.elapsed(),
         result_pairs: result.len(),
-        pairs_pulled,
+        pairs_pulled: result.len(),
         joins: plan.join_count(),
-        merge_joins: plan.merge_join_count(),
+        merge_joins: 0,
     };
     Ok((result, stats))
 }
 
 /// Executes `plan` pair-at-a-time (no batching anywhere above the backend),
-/// returning the sorted, duplicate-free answer plus the number of pairs
-/// pulled from the root.
+/// returning the answer: every pair pulled from the root.
 ///
 /// This is the pre-vectorization execution mode, kept as the reference for
 /// differential tests and as the baseline the `scan_join` experiment
@@ -77,16 +80,13 @@ pub fn execute_with_stats<B: PathIndexBackend + ?Sized>(
 pub fn execute_pairwise<B: PathIndexBackend + ?Sized>(
     plan: &PhysicalPlan,
     index: &B,
-) -> BackendResult<(Vec<Pair>, usize)> {
+) -> BackendResult<Vec<Pair>> {
     let mut stream = open_stream(plan, index)?;
     let mut result = Vec::new();
     while let Some(pair) = stream.next_pair()? {
         result.push(pair);
     }
-    let pairs_pulled = result.len();
-    result.sort_unstable();
-    result.dedup();
-    Ok((result, pairs_pulled))
+    Ok(result)
 }
 
 /// Recursively builds the operator tree for a plan and returns its root as a
@@ -127,24 +127,16 @@ fn build_stream<'a, B: PathIndexBackend + ?Sized>(
             Box::new(IndexScanOp::new(index, path, *orientation)?)
         }
         PhysicalPlan::Epsilon => Box::new(EpsilonScanOp::new(index.node_count())),
-        PhysicalPlan::Join {
-            algorithm,
-            left,
-            right,
-        } => {
-            let l = build_stream(left, index, token)?;
-            let r = build_stream(right, index, token)?;
-            match algorithm {
-                JoinAlgorithm::Merge => Box::new(MergeJoinOp::new(l, r)),
-                JoinAlgorithm::Hash => Box::new(HashJoinOp::new(l, r)),
-            }
-        }
+        PhysicalPlan::Join { left, right } => Box::new(JoinOp::new(
+            build_stream(left, index, token)?,
+            build_stream(right, index, token)?,
+        )),
         PhysicalPlan::Union(children) => {
             let streams: Vec<BoxedPairStream<'a>> = children
                 .iter()
                 .map(|child| build_stream(child, index, token))
                 .collect::<BackendResult<_>>()?;
-            Box::new(DistinctOp::new(Box::new(UnionAllOp::new(streams))))
+            Box::new(UnionOp::new(streams))
         }
     };
     Ok(match token {
@@ -255,9 +247,9 @@ mod tests {
         let plan = plan_query(Strategy::SemiNaive, &disjuncts, &ctx);
         let (result, stats) = execute_with_stats(&plan, &index).unwrap();
         assert_eq!(stats.result_pairs, result.len());
-        assert!(stats.pairs_pulled >= stats.result_pairs);
+        assert_eq!(stats.pairs_pulled, stats.result_pairs);
         assert_eq!(stats.joins, 1);
-        assert_eq!(stats.merge_joins, 1);
+        assert_eq!(stats.merge_joins, 0);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! | Strategy | Module | Paper description |
 //! |----------|--------|-------------------|
 //! | [`Strategy::Naive`] | [`naive`] | k fixed at 1: scans of single edge labels only (automaton-equivalent). |
-//! | [`Strategy::SemiNaive`] | [`semi_naive`] | Left-to-right chunks of length k; merge join when the index sort order can be used, hash join otherwise. |
+//! | [`Strategy::SemiNaive`] | [`semi_naive`] | Left-to-right chunks of length k, composed left-deep. |
 //! | [`Strategy::MinSupport`] | [`min_support`] | Recursive split on the most selective length-k sub-path (per the histogram), costing the alternative join orders. |
 //! | [`Strategy::MinJoin`] | [`min_join`] | Minimal number of index lookups (⌈n/k⌉ chunks), segmentation and join order chosen by cost. |
 //!
@@ -52,5 +52,5 @@ pub use executor::{
     ExecutionStats,
 };
 pub use explain::explain;
-pub use plan::{JoinAlgorithm, PhysicalPlan};
+pub use plan::PhysicalPlan;
 pub use planner::{plan_disjunct, plan_query, PlannerContext, Strategy};

@@ -5,9 +5,9 @@
 //! around its most selective contiguous length-k sub-path `D'` (per the
 //! histogram `sel_{G,k}`), the two remaining pieces are planned recursively,
 //! and the alternative join orders around `D'` are costed, keeping the
-//! cheapest. Scanning `D'` versus its inverse `D'⁻` (the paper's third and
-//! fourth alternatives) is handled inside [`PhysicalPlan::compose`], which
-//! orients leaf scans to enable merge joins automatically.
+//! cheapest. The paper's third and fourth alternatives scan the inverse
+//! `D'⁻` to obtain a target-major order; here every join reads its left
+//! input in the index's own source order, so all scans stay forward.
 
 use crate::cost::cost_plan;
 use crate::plan::PhysicalPlan;
@@ -181,7 +181,17 @@ mod tests {
     }
 
     #[test]
-    fn produces_at_least_one_merge_join_on_long_disjuncts() {
+    fn long_disjuncts_join_forward_scans() {
+        fn all_forward(plan: &PhysicalPlan) -> bool {
+            match plan {
+                PhysicalPlan::IndexScan { orientation, .. } => {
+                    *orientation == pathix_exec::ScanOrientation::Forward
+                }
+                PhysicalPlan::Epsilon => true,
+                PhysicalPlan::Join { left, right } => all_forward(left) && all_forward(right),
+                PhysicalPlan::Union(children) => children.iter().all(all_forward),
+            }
+        }
         let (g, index, hist) = fixture(3);
         let ctx = PlannerContext::new(&index, &hist);
         let knows = sl(&g, "knows", false);
@@ -189,6 +199,6 @@ mod tests {
         let disjunct = vec![knows, knows, works, knows, works, works];
         let plan = plan_disjunct(&disjunct, &ctx);
         assert!(plan.join_count() >= 1);
-        assert!(plan.merge_join_count() >= 1);
+        assert!(all_forward(&plan), "{plan:?}");
     }
 }

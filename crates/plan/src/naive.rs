@@ -28,7 +28,6 @@ pub fn plan_disjunct<B: PathIndexBackend + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::JoinAlgorithm;
     use crate::planner::PlannerContext;
     use pathix_datagen::paper_example_graph;
     use pathix_graph::SignedLabel;
@@ -58,18 +57,23 @@ mod tests {
     }
 
     #[test]
-    fn first_join_is_merge_rest_are_hash() {
+    fn joins_run_left_deep() {
         let (index, hist) = ctx_fixture(2);
         let ctx = PlannerContext::new(&index, &hist);
         let disjunct: LabelPath = (0..4).map(SignedLabel::from_code).collect();
-        let plan = plan_disjunct(&disjunct, &ctx);
-        // Left-deep tree: only the innermost (first) join has two leaf scans.
-        assert_eq!(plan.merge_join_count(), 1);
+        let mut plan = plan_disjunct(&disjunct, &ctx);
         assert_eq!(plan.join_count(), 3);
-        match plan {
-            PhysicalPlan::Join { algorithm, .. } => assert_eq!(algorithm, JoinAlgorithm::Hash),
-            other => panic!("unexpected {other:?}"),
+        // Every join's right input is the next single-label scan.
+        for &step in disjunct[1..].iter().rev() {
+            match plan {
+                PhysicalPlan::Join { left, right } => {
+                    assert_eq!(*right, PhysicalPlan::scan(vec![step]));
+                    plan = *left;
+                }
+                other => panic!("unexpected {other:?}"),
+            }
         }
+        assert_eq!(plan, PhysicalPlan::scan(vec![disjunct[0]]));
     }
 
     #[test]

@@ -1,18 +1,7 @@
 //! Physical plan representation.
 
-use pathix_exec::{ScanOrientation, Sortedness};
+use pathix_exec::ScanOrientation;
 use pathix_rpq::LabelPath;
-
-/// The join algorithm chosen for a composition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JoinAlgorithm {
-    /// Merge join — requires the left input sorted by target and the right
-    /// input sorted by source.
-    Merge,
-    /// Hash join — no order requirements; the right input is built into a
-    /// hash table.
-    Hash,
-}
 
 /// A physical execution plan for an RPQ (or one of its disjuncts).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -28,15 +17,12 @@ pub enum PhysicalPlan {
     Epsilon,
     /// Composition of two sub-plans on their shared middle node.
     Join {
-        /// Merge or hash.
-        algorithm: JoinAlgorithm,
-        /// Producer of the path prefix.
+        /// Producer of the path prefix; read in source order.
         left: Box<PhysicalPlan>,
         /// Producer of the path suffix.
         right: Box<PhysicalPlan>,
     },
-    /// Union of the plans of all disjuncts (set semantics restored by the
-    /// executor's final distinct).
+    /// Union of the plans of all disjuncts, merged into their set union.
     Union(Vec<PhysicalPlan>),
 }
 
@@ -49,56 +35,15 @@ impl PhysicalPlan {
         }
     }
 
-    /// The order in which this plan emits pairs.
-    pub fn sortedness(&self) -> Sortedness {
-        match self {
-            PhysicalPlan::IndexScan { orientation, .. } => match orientation {
-                ScanOrientation::Forward => Sortedness::BySource,
-                ScanOrientation::Inverse => Sortedness::ByTarget,
-            },
-            PhysicalPlan::Epsilon => Sortedness::Both,
-            PhysicalPlan::Join { .. } | PhysicalPlan::Union(_) => Sortedness::Unsorted,
-        }
-    }
-
-    /// Composes two plans on their shared middle node, flipping the
-    /// orientation of leaf index scans so that a merge join can be used
-    /// whenever possible (the paper's "invert the sub-expression to obtain
-    /// the correct sort order"), and falling back to a hash join otherwise.
+    /// Composes two plans on their shared middle node.
+    ///
+    /// Every plan node emits its pairs in `(source, target)` order, which is
+    /// the order the join reads its left input in, so leaf scans stay
+    /// forward: the index's own sort order (§5) serves every join.
     pub fn compose(left: PhysicalPlan, right: PhysicalPlan) -> PhysicalPlan {
-        let left = left.oriented_for_target();
-        let right = right.oriented_for_source();
-        let algorithm = if left.sortedness().is_by_target() && right.sortedness().is_by_source() {
-            JoinAlgorithm::Merge
-        } else {
-            JoinAlgorithm::Hash
-        };
         PhysicalPlan::Join {
-            algorithm,
             left: Box::new(left),
             right: Box::new(right),
-        }
-    }
-
-    /// Re-orients a leaf scan so its output is target-sorted (scan `p⁻`).
-    fn oriented_for_target(self) -> PhysicalPlan {
-        match self {
-            PhysicalPlan::IndexScan { path, .. } => PhysicalPlan::IndexScan {
-                path,
-                orientation: ScanOrientation::Inverse,
-            },
-            other => other,
-        }
-    }
-
-    /// Re-orients a leaf scan so its output is source-sorted (scan `p`).
-    fn oriented_for_source(self) -> PhysicalPlan {
-        match self {
-            PhysicalPlan::IndexScan { path, .. } => PhysicalPlan::IndexScan {
-                path,
-                orientation: ScanOrientation::Forward,
-            },
-            other => other,
         }
     }
 
@@ -108,25 +53,6 @@ impl PhysicalPlan {
             PhysicalPlan::IndexScan { .. } | PhysicalPlan::Epsilon => 0,
             PhysicalPlan::Join { left, right, .. } => 1 + left.join_count() + right.join_count(),
             PhysicalPlan::Union(children) => children.iter().map(PhysicalPlan::join_count).sum(),
-        }
-    }
-
-    /// Number of merge joins in the plan.
-    pub fn merge_join_count(&self) -> usize {
-        match self {
-            PhysicalPlan::IndexScan { .. } | PhysicalPlan::Epsilon => 0,
-            PhysicalPlan::Join {
-                algorithm,
-                left,
-                right,
-            } => {
-                usize::from(*algorithm == JoinAlgorithm::Merge)
-                    + left.merge_join_count()
-                    + right.merge_join_count()
-            }
-            PhysicalPlan::Union(children) => {
-                children.iter().map(PhysicalPlan::merge_join_count).sum()
-            }
         }
     }
 
@@ -167,45 +93,22 @@ mod tests {
     }
 
     #[test]
-    fn compose_two_scans_is_a_merge_join() {
-        let plan = PhysicalPlan::compose(PhysicalPlan::scan(p(&[0])), PhysicalPlan::scan(p(&[2])));
-        match &plan {
-            PhysicalPlan::Join {
-                algorithm,
-                left,
-                right,
-            } => {
-                assert_eq!(*algorithm, JoinAlgorithm::Merge);
-                assert_eq!(left.sortedness(), Sortedness::ByTarget);
-                assert_eq!(right.sortedness(), Sortedness::BySource);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        assert_eq!(plan.join_count(), 1);
-        assert_eq!(plan.merge_join_count(), 1);
-        assert_eq!(plan.scan_count(), 2);
-    }
-
-    #[test]
-    fn compose_with_intermediate_result_is_a_hash_join() {
+    fn compose_keeps_scans_forward() {
         let inner = PhysicalPlan::compose(PhysicalPlan::scan(p(&[0])), PhysicalPlan::scan(p(&[2])));
+        assert_eq!(
+            inner,
+            PhysicalPlan::Join {
+                left: Box::new(PhysicalPlan::scan(p(&[0]))),
+                right: Box::new(PhysicalPlan::scan(p(&[2]))),
+            }
+        );
         let outer = PhysicalPlan::compose(inner, PhysicalPlan::scan(p(&[4])));
-        match &outer {
-            PhysicalPlan::Join { algorithm, .. } => assert_eq!(*algorithm, JoinAlgorithm::Hash),
-            other => panic!("unexpected {other:?}"),
-        }
         assert_eq!(outer.join_count(), 2);
-        assert_eq!(outer.merge_join_count(), 1);
-    }
-
-    #[test]
-    fn compose_scan_with_epsilon_still_merges() {
-        // Epsilon is sorted both ways, so it satisfies either side.
-        let plan = PhysicalPlan::compose(PhysicalPlan::Epsilon, PhysicalPlan::scan(p(&[0])));
-        match &plan {
-            PhysicalPlan::Join { algorithm, .. } => assert_eq!(*algorithm, JoinAlgorithm::Merge),
-            other => panic!("unexpected {other:?}"),
-        }
+        assert_eq!(outer.scan_count(), 3);
+        let with_epsilon =
+            PhysicalPlan::compose(PhysicalPlan::Epsilon, PhysicalPlan::scan(p(&[0])));
+        assert_eq!(with_epsilon.join_count(), 1);
+        assert_eq!(with_epsilon.scan_count(), 1);
     }
 
     #[test]
@@ -216,6 +119,5 @@ mod tests {
         assert_eq!(union.join_count(), 1);
         assert_eq!(union.scan_count(), 3);
         assert_eq!(union.max_scanned_path_len(), 2);
-        assert_eq!(union.sortedness(), Sortedness::Unsorted);
     }
 }

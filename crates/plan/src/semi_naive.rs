@@ -1,15 +1,17 @@
 //! The semi-naive strategy: left-to-right length-k chunking.
 //!
 //! Section 4 of the paper: each disjunct is processed from left to right,
-//! consuming k labels at a time; the first join can exploit the index sort
-//! order (by scanning the inverse of the leading chunk) and is a merge join,
-//! subsequent joins take an intermediate result on the left and are hash
-//! joins. This reproduces the example plans of the paper, e.g. for
-//! `kkwkwkww` with k = 3:
+//! consuming k labels at a time, and the chunks are composed left-deep, e.g.
+//! for `kkwkwkww` with k = 3:
 //!
 //! ```text
-//! [ I(w⁻k⁻k⁻) ⋈merge I(kwk) ] ⋈hash I(ww)
+//! [ I(kkw) ⋈ I(kwk) ] ⋈ I(ww)
 //! ```
+//!
+//! The paper scans the leading chunk inverted (`I(w⁻k⁻k⁻)`) so that the first
+//! join can merge on target order. Here every join reads its left input in
+//! source order — the order the index stores — so all chunks are scanned
+//! forward.
 
 use crate::plan::PhysicalPlan;
 use crate::planner::PlannerContext;
@@ -40,7 +42,6 @@ pub fn plan_disjunct<B: PathIndexBackend + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::JoinAlgorithm;
     use pathix_datagen::paper_example_graph;
     use pathix_exec::ScanOrientation;
     use pathix_graph::SignedLabel;
@@ -85,43 +86,38 @@ mod tests {
 
     #[test]
     fn paper_example_join_mix_for_length_eight() {
-        // kkwkwkww (length 8) with k = 3: merge then hash (Section 4).
+        // kkwkwkww (length 8) with k = 3: [I(kkw) ⋈ I(kwk)] ⋈ I(ww).
         let (index, hist) = fixture(3);
         let ctx = PlannerContext::new(&index, &hist);
-        let plan = plan_disjunct(&path_of_len(8), &ctx);
+        let path = path_of_len(8);
+        let plan = plan_disjunct(&path, &ctx);
+        let expected = PhysicalPlan::compose(
+            PhysicalPlan::compose(
+                PhysicalPlan::scan(path[..3].to_vec()),
+                PhysicalPlan::scan(path[3..6].to_vec()),
+            ),
+            PhysicalPlan::scan(path[6..].to_vec()),
+        );
+        assert_eq!(plan, expected);
         assert_eq!(plan.join_count(), 2);
-        assert_eq!(plan.merge_join_count(), 1);
-        match &plan {
-            PhysicalPlan::Join {
-                algorithm, left, ..
-            } => {
-                assert_eq!(*algorithm, JoinAlgorithm::Hash);
-                assert_eq!(left.merge_join_count(), 1);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
     }
 
     #[test]
-    fn leading_chunk_is_scanned_inverted_for_the_merge_join() {
+    fn every_chunk_is_scanned_forward() {
         let (index, hist) = fixture(3);
         let ctx = PlannerContext::new(&index, &hist);
         let plan = plan_disjunct(&path_of_len(6), &ctx);
         match &plan {
-            PhysicalPlan::Join { left, right, .. } => match (left.as_ref(), right.as_ref()) {
-                (
-                    PhysicalPlan::IndexScan {
-                        orientation: o1, ..
-                    },
-                    PhysicalPlan::IndexScan {
-                        orientation: o2, ..
-                    },
-                ) => {
-                    assert_eq!(*o1, ScanOrientation::Inverse);
-                    assert_eq!(*o2, ScanOrientation::Forward);
+            PhysicalPlan::Join { left, right } => {
+                for leaf in [left, right] {
+                    match leaf.as_ref() {
+                        PhysicalPlan::IndexScan { orientation, .. } => {
+                            assert_eq!(*orientation, ScanOrientation::Forward)
+                        }
+                        other => panic!("unexpected child {other:?}"),
+                    }
                 }
-                other => panic!("unexpected children {other:?}"),
-            },
+            }
             other => panic!("unexpected {other:?}"),
         }
     }

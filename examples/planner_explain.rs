@@ -57,11 +57,10 @@ fn main() {
                 .run(query, QueryOptions::with_strategy(strategy))
                 .unwrap();
             println!(
-                "=> {} answers in {:?} ({} joins, {} merge)\n",
+                "=> {} answers in {:?} ({} joins)\n",
                 result.len(),
                 result.stats.elapsed,
-                result.stats.joins,
-                result.stats.merge_joins
+                result.stats.joins
             );
         }
     }

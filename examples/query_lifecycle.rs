@@ -85,8 +85,8 @@ fn main() {
     // Execution: the same prepared query under each strategy.
     println!("== 5. execution\n");
     println!(
-        "{:<12} {:>10} {:>8} {:>12} {:>12}",
-        "strategy", "pairs", "joins", "merge joins", "time"
+        "{:<12} {:>10} {:>8} {:>12}",
+        "strategy", "pairs", "joins", "time"
     );
     let mut reference: Option<usize> = None;
     for strategy in Strategy::all() {
@@ -99,11 +99,10 @@ fn main() {
             reference = Some(result.len());
         }
         println!(
-            "{:<12} {:>10} {:>8} {:>12} {:>12.3?}",
+            "{:<12} {:>10} {:>8} {:>12.3?}",
             strategy.name(),
             result.len(),
             result.stats.joins,
-            result.stats.merge_joins,
             result.stats.elapsed
         );
     }

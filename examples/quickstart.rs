@@ -50,11 +50,10 @@ fn main() {
             .expect("query should evaluate");
         println!("query  : {query}");
         println!(
-            "answer : {} pairs in {:?} ({} joins, {} merge)",
+            "answer : {} pairs in {:?} ({} joins)",
             result.len(),
             result.stats.elapsed,
-            result.stats.joins,
-            result.stats.merge_joins
+            result.stats.joins
         );
         for (a, b) in result.named_pairs(&db).iter().take(6) {
             println!("         ({a}, {b})");

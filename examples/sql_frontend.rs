@@ -16,7 +16,7 @@ fn main() {
     let graph = paper_example_graph();
     let k = 2;
 
-    // The native pipeline (B+tree index + merge/hash-join plans) …
+    // The native pipeline (k-path index + source-grouped join plans) …
     let native = PathDb::build(graph.clone(), PathDbConfig::with_k(k));
     // … and its relational mirror: the same index contents loaded into the
     // `path_index` table, plus `nodes`, `edge` and `path_histogram`.

@@ -568,11 +568,10 @@ impl Shell {
         {
             Ok(result) => {
                 let mut out = format!(
-                    "{} pairs in {:?} ({} joins, {} merge) under {}\n",
+                    "{} pairs in {:?} ({} joins) under {}\n",
                     result.len(),
                     result.stats.elapsed,
                     result.stats.joins,
-                    result.stats.merge_joins,
                     self.strategy
                 );
                 for (a, b) in result.named_pairs(&self.db).iter().take(self.limit) {

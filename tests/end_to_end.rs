@@ -130,9 +130,9 @@ fn plans_differ_between_strategies_but_not_answers() {
     assert_eq!(semi_plan.scan_count(), 2);
     assert_eq!(min_join_plan.scan_count(), 2);
     assert!(naive_plan.join_count() > min_join_plan.join_count());
-    // Explain output mentions the chosen join algorithms.
+    // Explain output shows the join.
     let text = db.explain(query, Strategy::SemiNaive).unwrap();
-    assert!(text.contains("MergeJoin") || text.contains("HashJoin"));
+    assert!(text.contains("Join ("));
 }
 
 #[test]

@@ -14,7 +14,8 @@ use pathix::plan::{
 };
 use pathix::rpq::{parse, to_disjuncts, RewriteOptions};
 use pathix::{
-    BackendChoice, Graph, NodeId, PathDb, PathDbConfig, PathIndexBackend, SignedLabel, Strategy,
+    BackendChoice, Graph, NodeId, PathDb, PathDbConfig, PathIndexBackend, QueryOptions,
+    SignedLabel, Strategy,
 };
 
 /// All four storage backends, with the on-disk page file parked under a
@@ -42,7 +43,8 @@ fn remove_page_files(tag: &str) {
 
 /// The batched, pair-at-a-time and stats-reporting execution routes agree on
 /// answers and on the number of pairs pulled from the root, for every
-/// backend × strategy combination over a generated workload.
+/// backend × strategy combination over a generated workload, and a full run
+/// pulls exactly as many pairs as it answers.
 #[test]
 fn batched_execution_matches_pairwise_on_all_backends_and_strategies() {
     let graph = barabasi_albert(300, 3, &["a", "b", "c"], 11);
@@ -75,7 +77,7 @@ fn batched_execution_matches_pairwise_on_all_backends_and_strategies() {
             for strategy in Strategy::all() {
                 let plan = plan_query(strategy, &disjuncts, &ctx);
                 let batched = execute(&plan, index).unwrap();
-                let (pairwise, pulled_pairwise) = execute_pairwise(&plan, index).unwrap();
+                let pairwise = execute_pairwise(&plan, index).unwrap();
                 assert_eq!(
                     batched, pairwise,
                     "{name}: batched vs pairwise answers on {:?} under {strategy}",
@@ -88,11 +90,36 @@ fn batched_execution_matches_pairwise_on_all_backends_and_strategies() {
                     query.text
                 );
                 assert_eq!(
-                    stats.pairs_pulled, pulled_pairwise,
+                    stats.pairs_pulled,
+                    pairwise.len(),
                     "{name}: root pull counts diverge on {:?} under {strategy}",
                     query.text
                 );
                 assert_eq!(stats.result_pairs, batched.len());
+                // Reconciliation: the operator tree emits the answer itself,
+                // so a full drain pulls exactly the result pairs — through
+                // the executor and through the database's own run path.
+                assert_eq!(
+                    stats.pairs_pulled, stats.result_pairs,
+                    "{name}: full run pulled duplicates on {:?} under {strategy}",
+                    query.text
+                );
+                let run = db
+                    .prepare(&query.text)
+                    .unwrap()
+                    .run(&db, QueryOptions::with_strategy(strategy))
+                    .unwrap();
+                assert_eq!(
+                    run.pairs(),
+                    batched.as_slice(),
+                    "{name}: run on {:?}",
+                    query.text
+                );
+                assert_eq!(
+                    run.stats.pairs_pulled, run.stats.result_pairs,
+                    "{name}: run pulled duplicates on {:?} under {strategy}",
+                    query.text
+                );
             }
         }
     }
@@ -131,6 +158,10 @@ fn stream_order_and_early_termination_are_batching_invariant() {
                 while let Some(pair) = stream.next_pair().unwrap() {
                     by_pair.push(pair);
                 }
+                assert!(
+                    by_pair.windows(2).all(|w| w[0] < w[1]),
+                    "{name}: root stream of {text:?} under {strategy} not strictly ascending"
+                );
 
                 for capacity in [1usize, 3, 1024] {
                     let mut by_batch = Vec::new();
