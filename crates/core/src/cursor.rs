@@ -76,9 +76,10 @@ impl OwnedStream {
 /// consistent with one single database state — the one at open — never a mix
 /// of pre- and post-update data. Open a new cursor to observe newer epochs.
 ///
-/// Unlike the batch API the pairs arrive in operator order, not sorted by
-/// `(source, target)`; they are still duplicate-free (set semantics is
-/// enforced incrementally with a hash set of seen pairs).
+/// Like the batch API, the pairs arrive strictly ascending in
+/// `(source, target)`, because every plan's root stream emits them that way.
+/// The cursor still keeps a hash set of the pairs it has seen and drops
+/// repeats; that set is now redundant and is due to go (see ROADMAP).
 ///
 /// ```
 /// use pathix_core::{PathDb, PathDbConfig, QueryOptions};

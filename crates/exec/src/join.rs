@@ -173,24 +173,11 @@ impl<'a> JoinOp<'a> {
         if self.gathered.is_empty() {
             return false;
         }
-        if self.gathered.len() > 2 * self.marks.len() {
-            // A dense group: reading the set bits in order is cheaper than
-            // sorting the touched list.
-            self.out.clear();
-            for (w, word) in self.marks.iter_mut().enumerate() {
-                let mut bits = std::mem::take(word);
-                while bits != 0 {
-                    self.out.push(NodeId(w as u32 * 64 + bits.trailing_zeros()));
-                    bits &= bits - 1;
-                }
-            }
-        } else {
-            self.gathered.sort_unstable();
-            for &z in &self.gathered {
-                self.marks[z.0 as usize / 64] &= !(1 << (z.0 % 64));
-            }
-            std::mem::swap(&mut self.out, &mut self.gathered);
+        self.gathered.sort_unstable();
+        for &z in &self.gathered {
+            self.marks[z.0 as usize / 64] &= !(1 << (z.0 % 64));
         }
+        std::mem::swap(&mut self.out, &mut self.gathered);
         self.gathered.clear();
         self.out_source = source;
         self.emitted = 0;

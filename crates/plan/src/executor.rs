@@ -10,7 +10,7 @@ use pathix_exec::{
     collect_pairs, BoxedPairStream, CancelGuard, CancelToken, EpsilonScanOp, IndexScanOp, JoinOp,
     Pair, PairBatch, PairStream, UnionOp,
 };
-use pathix_index::{BackendResult, PathIndexBackend};
+use pathix_index::{BackendError, BackendResult, PathIndexBackend};
 use std::time::{Duration, Instant};
 
 /// Executes `plan` against `index`, returning the answer as a sorted,
@@ -20,7 +20,25 @@ pub fn execute<B: PathIndexBackend + ?Sized>(
     plan: &PhysicalPlan,
     index: &B,
 ) -> BackendResult<Vec<Pair>> {
-    collect_pairs(open_stream(plan, index)?)
+    collect_pairs(open_answer(plan, index)?)
+}
+
+/// Opens the root of `plan` for a drain that returns it as the answer. The
+/// answer is not sorted or deduplicated afterwards, so a root that does not
+/// declare itself distinct and source-ordered — strictly ascending — is an
+/// error instead of a wrong answer.
+fn open_answer<'a, B: PathIndexBackend + ?Sized>(
+    plan: &'a PhysicalPlan,
+    index: &'a B,
+) -> BackendResult<BoxedPairStream<'a>> {
+    let stream = open_stream(plan, index)?;
+    if !(stream.is_distinct() && stream.sortedness().is_by_source()) {
+        return Err(BackendError::new(
+            "exec",
+            "plan root is not strictly ascending in (source, target)",
+        ));
+    }
+    Ok(stream)
 }
 
 /// Timing and size information recorded by [`execute_with_stats`].
@@ -51,7 +69,7 @@ pub fn execute_with_stats<B: PathIndexBackend + ?Sized>(
     index: &B,
 ) -> BackendResult<(Vec<Pair>, ExecutionStats)> {
     let start = Instant::now();
-    let mut stream = open_stream(plan, index)?;
+    let mut stream = open_answer(plan, index)?;
     let mut result = Vec::new();
     let mut batch = PairBatch::new();
     while stream.next_batch(&mut batch)? > 0 {
@@ -81,7 +99,7 @@ pub fn execute_pairwise<B: PathIndexBackend + ?Sized>(
     plan: &PhysicalPlan,
     index: &B,
 ) -> BackendResult<Vec<Pair>> {
-    let mut stream = open_stream(plan, index)?;
+    let mut stream = open_answer(plan, index)?;
     let mut result = Vec::new();
     while let Some(pair) = stream.next_pair()? {
         result.push(pair);
@@ -247,9 +265,24 @@ mod tests {
         let plan = plan_query(Strategy::SemiNaive, &disjuncts, &ctx);
         let (result, stats) = execute_with_stats(&plan, &index).unwrap();
         assert_eq!(stats.result_pairs, result.len());
-        assert_eq!(stats.pairs_pulled, stats.result_pairs);
         assert_eq!(stats.joins, 1);
         assert_eq!(stats.merge_joins, 0);
+    }
+
+    #[test]
+    fn a_root_out_of_source_order_is_an_error() {
+        // An inverse scan is target-ordered; its drain is not the answer, so
+        // every draining entry point refuses it instead of returning it.
+        let (g, index, _) = fixture(2);
+        let path = parse("knows").unwrap().bind(&g).unwrap();
+        let disjuncts = to_disjuncts(&path, RewriteOptions::default()).unwrap();
+        let plan = PhysicalPlan::IndexScan {
+            path: disjuncts[0].clone(),
+            orientation: pathix_exec::ScanOrientation::Inverse,
+        };
+        assert!(execute(&plan, &index).is_err());
+        assert!(execute_with_stats(&plan, &index).is_err());
+        assert!(execute_pairwise(&plan, &index).is_err());
     }
 
     #[test]
