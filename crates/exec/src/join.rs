@@ -97,9 +97,12 @@ impl FlatTable {
 /// The right input is drained once into a flat hash table keyed by its
 /// source. The left input must arrive ordered by source (any order within a
 /// source): for each source group the join marks the matched targets in a
-/// bitset over the target nodes, remembering which it touched, then sorts
-/// the touched list, emits it and clears exactly those bits. The output is
-/// strictly ascending in `(source, target)`.
+/// bitset over the target nodes, remembering which words of it it touched.
+/// When the group ends it sorts that short word list and reads each word's
+/// bits out in order, clearing them. The output is strictly ascending in
+/// `(source, target)`. Sorting words instead of targets bounds the sort by
+/// both the group's size and the bitset's: a hub source that reaches most of
+/// the graph sorts one entry per 64 nodes.
 ///
 /// A left input that does not declare source order fails on the first pull;
 /// one that declares it but breaks it mid-stream fails when the break is
@@ -113,11 +116,12 @@ pub struct JoinOp<'a> {
     buf: PairBatch,
     pos: usize,
     left_done: bool,
-    /// The left source whose targets `gathered` collects.
+    /// The left source whose targets `marks` collects.
     group: Option<NodeId>,
-    /// One bit per target node, set while the node is in `gathered`.
+    /// One bit per target node, set while the node is in the group.
     marks: Vec<u64>,
-    gathered: Vec<NodeId>,
+    /// The indices of the nonzero words of `marks`.
+    touched: Vec<u32>,
     /// A completed group, sorted, emitted from `emitted` on.
     out_source: NodeId,
     out: Vec<NodeId>,
@@ -141,7 +145,7 @@ impl<'a> JoinOp<'a> {
             left_done: false,
             group: None,
             marks: Vec::new(),
-            gathered: Vec::new(),
+            touched: Vec::new(),
             out_source: NodeId(0),
             out: Vec::new(),
             emitted: 0,
@@ -163,22 +167,26 @@ impl<'a> JoinOp<'a> {
         Ok(())
     }
 
-    /// Completes the current group: sorts its targets into `out` and clears
-    /// their marks. Returns `false` if there was no group or it matched
-    /// nothing.
+    /// Completes the current group: reads its targets into `out` in order
+    /// and clears their marks. Returns `false` if there was no group or it
+    /// matched nothing.
     fn finish_group(&mut self) -> bool {
         let Some(source) = self.group.take() else {
             return false;
         };
-        if self.gathered.is_empty() {
+        if self.touched.is_empty() {
             return false;
         }
-        self.gathered.sort_unstable();
-        for &z in &self.gathered {
-            self.marks[z.0 as usize / 64] &= !(1 << (z.0 % 64));
+        self.touched.sort_unstable();
+        self.out.clear();
+        for &w in &self.touched {
+            let mut bits = std::mem::take(&mut self.marks[w as usize]);
+            while bits != 0 {
+                self.out.push(NodeId(w * 64 + bits.trailing_zeros()));
+                bits &= bits - 1;
+            }
         }
-        std::mem::swap(&mut self.out, &mut self.gathered);
-        self.gathered.clear();
+        self.touched.clear();
         self.out_source = source;
         self.emitted = 0;
         true
@@ -217,11 +225,11 @@ impl<'a> JoinOp<'a> {
                 .unwrap_or(sources.len());
             for &middle in &self.buf.targets()[self.pos..self.pos + run] {
                 for &z in self.table.probe(middle) {
-                    let (word, bit) = (z.0 as usize / 64, 1u64 << (z.0 % 64));
-                    if self.marks[word] & bit == 0 {
-                        self.marks[word] |= bit;
-                        self.gathered.push(z);
+                    let word = z.0 as usize / 64;
+                    if self.marks[word] == 0 {
+                        self.touched.push(word as u32);
                     }
+                    self.marks[word] |= 1 << (z.0 % 64);
                 }
             }
             self.pos += run;
